@@ -13,9 +13,10 @@
 //!   handle serves every request, so the in-memory and on-disk
 //!   compile/profile artifact caches warm up monotonically across
 //!   requests, and a serve-level prediction cache keyed by
-//!   `(spec, backend, precision)` answers repeats without re-entering
-//!   the engine (the second identical request recomputes — and
-//!   re-hashes — nothing);
+//!   `(spec, backend, precision)` answers repeats from pre-rendered
+//!   response bodies on the connection thread, without queueing or
+//!   re-entering the engine (the second identical request recomputes —
+//!   and re-hashes, and re-renders — nothing);
 //! - **bounded queue + admission control** — requests run on a
 //!   fixed-size worker pool behind a bounded queue; when the queue is
 //!   full the server answers with a typed `overloaded` error immediately

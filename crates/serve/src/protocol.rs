@@ -502,7 +502,10 @@ pub fn register_response(
 }
 
 /// Renders a successful `predict` response, tagged with the device
-/// backend and inference precision that produced it.
+/// backend and inference precision that produced it. Built in two
+/// steps, the id-independent body and then the spliced-in head, so the
+/// daemon can cache the body and answer a hit with the second step
+/// alone: one rendering path, byte-identical either way.
 pub fn predict_response(
     id: Option<u64>,
     nf: &str,
@@ -510,32 +513,66 @@ pub fn predict_response(
     precision: Precision,
     p: &Prediction,
 ) -> String {
-    let mut m = head(id, true);
-    m.push(("op".to_string(), Value::Str("predict".to_string())));
-    m.push(("nf".to_string(), Value::Str(nf.to_string())));
-    m.push(("backend".to_string(), Value::Str(backend.to_string())));
-    m.push((
-        "precision".to_string(),
-        Value::Str(precision.as_str().to_string()),
-    ));
-    m.push((
-        "predicted_compute".to_string(),
-        Value::Float(p.predicted_compute),
-    ));
-    m.push(("counted_mem".to_string(), Value::UInt(u64::from(p.counted_mem))));
-    m.push((
-        "suggested_cores".to_string(),
-        Value::UInt(u64::from(p.suggested_cores)),
-    ));
-    m.push((
-        "predicted_throughput_mpps".to_string(),
-        Value::Float(p.predicted_throughput_mpps),
-    ));
-    m.push((
-        "predicted_latency_us".to_string(),
-        Value::Float(p.predicted_latency_us),
-    ));
-    finish(m)
+    ok_response(id, &predict_body(nf, backend, precision, p))
+}
+
+/// The id-independent part of a `predict` response: everything after
+/// `"ok":true,`, closing brace included. A pure function of its
+/// arguments, so it can be rendered once and cached.
+pub(crate) fn predict_body(nf: &str, backend: &str, precision: Precision, p: &Prediction) -> String {
+    let mut body = finish(predict_fields(nf, backend, precision, p));
+    // `finish` renders `{...}`; the body is that object minus its `{`.
+    body.remove(0);
+    body
+}
+
+/// Splices a success head `{"v":1[,"id":N],"ok":true,` in front of a
+/// rendered body — byte for byte what [`head`] followed by the body's
+/// fields renders through [`finish`].
+pub(crate) fn ok_response(id: Option<u64>, body: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(body.len() + 40);
+    let _ = write!(out, "{{\"v\":{PROTOCOL_VERSION}");
+    if let Some(id) = id {
+        let _ = write!(out, ",\"id\":{id}");
+    }
+    out.push_str(",\"ok\":true,");
+    out.push_str(body);
+    out
+}
+
+fn predict_fields(
+    nf: &str,
+    backend: &str,
+    precision: Precision,
+    p: &Prediction,
+) -> Vec<(String, Value)> {
+    vec![
+        ("op".to_string(), Value::Str("predict".to_string())),
+        ("nf".to_string(), Value::Str(nf.to_string())),
+        ("backend".to_string(), Value::Str(backend.to_string())),
+        (
+            "precision".to_string(),
+            Value::Str(precision.as_str().to_string()),
+        ),
+        (
+            "predicted_compute".to_string(),
+            Value::Float(p.predicted_compute),
+        ),
+        ("counted_mem".to_string(), Value::UInt(u64::from(p.counted_mem))),
+        (
+            "suggested_cores".to_string(),
+            Value::UInt(u64::from(p.suggested_cores)),
+        ),
+        (
+            "predicted_throughput_mpps".to_string(),
+            Value::Float(p.predicted_throughput_mpps),
+        ),
+        (
+            "predicted_latency_us".to_string(),
+            Value::Float(p.predicted_latency_us),
+        ),
+    ]
 }
 
 /// Renders a successful `analyze` response (names resolved against the
@@ -1001,6 +1038,50 @@ mod tests {
             v.get("error"),
             Some(&serde::Value::Str("infeasible".to_string()))
         );
+    }
+
+    #[test]
+    fn spliced_predict_body_matches_the_map_rendering() {
+        let predictions = [
+            Prediction {
+                predicted_compute: 1234.5,
+                counted_mem: 17,
+                suggested_cores: 8,
+                predicted_throughput_mpps: 12.25,
+                predicted_latency_us: 3.0,
+            },
+            Prediction {
+                predicted_compute: f64::MAX,
+                counted_mem: u32::MAX,
+                suggested_cores: u32::MAX,
+                predicted_throughput_mpps: 1e300,
+                predicted_latency_us: 6.02e23,
+            },
+            Prediction {
+                predicted_compute: -0.0,
+                counted_mem: 0,
+                suggested_cores: 0,
+                predicted_throughput_mpps: -1e-300,
+                predicted_latency_us: -7.5,
+            },
+        ];
+        for p in &predictions {
+            for precision in [Precision::F64, Precision::Q16] {
+                let body = predict_body("cmsketch", "agilio-cx", precision, p);
+                for id in [None, Some(0), Some(u64::MAX)] {
+                    // The generic path: one `Value::Map`, head and fields
+                    // together, through the serializer.
+                    let mut m = head(id, true);
+                    m.extend(predict_fields("cmsketch", "agilio-cx", precision, p));
+                    let reference = finish(m);
+                    assert_eq!(ok_response(id, &body), reference);
+                    assert_eq!(
+                        predict_response(id, "cmsketch", "agilio-cx", precision, p),
+                        reference
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,13 +3,20 @@
 //!
 //! Life of a request: a connection thread parses the line (or frame —
 //! see [`crate::transport`]), resolves the tenant it runs as, and — for
-//! work ops — tries to enqueue a job. Admission is decided **under the
+//! work ops — asks for admission. Admission is decided **under the
 //! queue lock** in one linearized step: draining servers answer
 //! `draining`, a full shared queue answers `overloaded`, and a tenant
 //! that filled its own quota answers `quota_exceeded` while everyone
-//! else keeps being admitted. Admitted jobs go onto the tenant's
-//! sub-queue; the connection thread parks on a channel while a worker
-//! picks the job up.
+//! else keeps being admitted.
+//!
+//! A `predict` whose answer is already in the serve-level prediction
+//! cache is answered **inline on the connection thread**: it passes that
+//! same admission step and counts as in flight (so drain waits for it),
+//! then splices its id into the cached, pre-rendered response body. A
+//! hit never touches the job queue, the condvar, or a channel — the
+//! thread hand-offs would otherwise cost more than the answer. Every
+//! other admitted job goes onto the tenant's sub-queue, and the
+//! connection thread parks on a channel while a worker picks it up.
 //!
 //! Dispatch is **deficit round-robin across tenants**: tenants with
 //! pending jobs form a ring, each visit grants a quantum of
@@ -41,6 +48,7 @@
 //! empty-and-draining and exited — `await_quiesce` then spun forever.)
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::Hash;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -51,8 +59,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use clara_core::{
-    difftest, engine, Clara, ClaraError, DifftestConfig, NicConfig, PlacementFailure,
-    PlacementRequest, Precision, Prediction,
+    difftest, engine, Clara, ClaraError, DifftestConfig, EngineOptions, NicConfig,
+    PlacementFailure, PlacementRequest, Precision,
 };
 use clara_hal::{Backend as _, DeviceBackend};
 use clara_obs as obs;
@@ -154,17 +162,155 @@ struct QueueState {
     draining: bool,
 }
 
+/// Why admission turned a work request away.
+#[derive(Debug, Clone, Copy)]
+enum Refusal {
+    Draining,
+    Overloaded,
+    QuotaExceeded,
+}
+
+impl QueueState {
+    /// The admission decision for one more request from `tenant`, made
+    /// by the caller under the queue lock: the drain flag first, then
+    /// the shared capacity, then the tenant's own quota. Queued jobs and
+    /// inline cache hits both pass through here, so a hit is refused
+    /// exactly where a queued predict would be.
+    fn refusal(&self, tenant: &Tenant, queue_cap: usize) -> Option<Refusal> {
+        if self.draining {
+            Some(Refusal::Draining)
+        } else if self.total >= queue_cap {
+            Some(Refusal::Overloaded)
+        } else if self.queues.get(&tenant.name).map_or(0, |tq| tq.jobs.len()) >= tenant.quota {
+            Some(Refusal::QuotaExceeded)
+        } else {
+            None
+        }
+    }
+}
+
 /// A served prediction's identity: the materialized work spec plus the
 /// route (device, precision) that executed it. The trained model is
 /// fixed for the server's lifetime, so this key fully determines the
 /// prediction — and it hashes in nanoseconds, unlike the engine's
 /// serialize-and-FNV content fingerprints.
-type PredictKey = (String, usize, u64, bool, String, Precision);
+type PredictKey = (String, usize, u64, bool, &'static str, Precision);
 
-/// Most entries the completed-prediction memo holds. Inserts past the
-/// cap are dropped (never evicted), so a burst of distinctly-seeded
-/// one-off requests cannot wash out the steady-state working set.
+/// Most entries the prediction cache holds; past it, CLOCK eviction
+/// makes room (see [`ClockCache`]).
 const PREDICT_CACHE_CAP: usize = 8192;
+
+/// A fixed-capacity map with CLOCK (second-chance) eviction. A hit sets
+/// the entry's reference bit; an insert into a full map sweeps the hand
+/// past referenced entries, clearing their bits, and replaces the first
+/// unreferenced one. A burst of one-off keys thus evicts other one-offs
+/// before the working set that keeps hitting, and a shifted key space
+/// is cached again instead of missing forever.
+struct ClockCache<K, V> {
+    cap: usize,
+    index: HashMap<K, usize>,
+    slots: Vec<ClockSlot<K, V>>,
+    hand: usize,
+}
+
+struct ClockSlot<K, V> {
+    key: K,
+    value: V,
+    referenced: bool,
+}
+
+impl<K: Hash + Eq + Clone, V> ClockCache<K, V> {
+    fn new(cap: usize) -> ClockCache<K, V> {
+        assert!(cap > 0, "a clock cache needs at least one slot");
+        ClockCache {
+            cap,
+            index: HashMap::new(),
+            slots: Vec::new(),
+            hand: 0,
+        }
+    }
+
+    /// Looks `key` up and, on a hit, marks the entry referenced.
+    fn get(&mut self, key: &K) -> Option<&V> {
+        let &i = self.index.get(key)?;
+        let slot = &mut self.slots[i];
+        slot.referenced = true;
+        Some(&slot.value)
+    }
+
+    /// Inserts (or overwrites) an entry, evicting one when full. New
+    /// entries start unreferenced: only a later hit earns the second
+    /// chance.
+    fn insert(&mut self, key: K, value: V) {
+        if let Some(&i) = self.index.get(&key) {
+            self.slots[i].value = value;
+            return;
+        }
+        let slot = ClockSlot {
+            key: key.clone(),
+            value,
+            referenced: false,
+        };
+        if self.slots.len() < self.cap {
+            self.index.insert(key, self.slots.len());
+            self.slots.push(slot);
+            return;
+        }
+        while self.slots[self.hand].referenced {
+            self.slots[self.hand].referenced = false;
+            self.hand = (self.hand + 1) % self.cap;
+        }
+        let evicted = std::mem::replace(&mut self.slots[self.hand], slot);
+        self.index.remove(&evicted.key);
+        self.index.insert(key, self.hand);
+        self.hand = (self.hand + 1) % self.cap;
+    }
+}
+
+/// Metric handles on the per-request path, registered on first use and
+/// then cached, so a hit pays an atomic add instead of a `format!` and
+/// a registry lock per metric. Names are unchanged.
+mod metric {
+    use std::sync::OnceLock;
+
+    use clara_obs as obs;
+
+    use crate::protocol::Request;
+
+    macro_rules! cached {
+        ($name:ident: $ty:ident = $ctor:ident($metric:literal)) => {
+            pub(super) fn $name() -> &'static obs::$ty {
+                static HANDLE: OnceLock<obs::$ty> = OnceLock::new();
+                HANDLE.get_or_init(|| obs::$ctor($metric))
+            }
+        };
+    }
+
+    cached!(predict_ops: Counter = counter("serve.ops.predict"));
+    cached!(predict_hits: Counter = counter("serve.cache.predict_hits"));
+    cached!(predict_misses: Counter = counter("serve.cache.predict_misses"));
+    cached!(queue_depth: Gauge = volatile_gauge("serve.queue.depth"));
+
+    /// `serve.op.<op>.latency_us` for the request's op.
+    pub(super) fn op_latency(req: &Request) -> &'static obs::Histogram {
+        const OPS: [&str; 7] = ["predict", "analyze", "difftest", "place", "register", "stats", "drain"];
+        static HANDLES: OnceLock<Vec<obs::Histogram>> = OnceLock::new();
+        let i = match req {
+            Request::Predict(_) => 0,
+            Request::Analyze(_) => 1,
+            Request::Difftest { .. } => 2,
+            Request::Place(_) => 3,
+            Request::Register(_) => 4,
+            Request::Stats => 5,
+            Request::Drain => 6,
+        };
+        &HANDLES.get_or_init(|| {
+            OPS.iter()
+                .map(|op| obs::volatile_histogram(&format!("serve.op.{op}.latency_us")))
+                .collect()
+        })[i]
+    }
+}
 
 struct Shared {
     clara: Arc<Clara>,
@@ -172,12 +318,14 @@ struct Shared {
     /// it per batch costs milliseconds, which would dominate every warm
     /// sub-millisecond predict this daemon exists to serve.
     predictor_fp: u64,
-    /// Completed predictions by spec + route. The engine's own caches
-    /// make the second identical request recompute nothing; this layer
-    /// makes it *re-hash* nothing (the engine keys its caches by
-    /// content fingerprints that serialize the module and trace on
-    /// every lookup, ~100us per request — 30-50% of a warm round trip).
-    predict_cache: Mutex<HashMap<PredictKey, Prediction>>,
+    /// Rendered `predict` response bodies (everything after
+    /// `"ok":true,`, which does not depend on the request id) by spec +
+    /// route. A hit is answered on the connection thread by splicing
+    /// the id in front: no engine call, no trace synthesis, no content
+    /// hashing (the engine keys its caches by fingerprints that
+    /// serialize the module and trace, ~100us per request), no render.
+    /// CLOCK eviction past [`PREDICT_CACHE_CAP`] entries.
+    predict_cache: Mutex<ClockCache<PredictKey, Arc<str>>>,
     corpus: BTreeMap<String, Module>,
     /// Warm device backends, default (request names none) first.
     backends: Vec<&'static DeviceBackend>,
@@ -219,8 +367,59 @@ impl Shared {
         w.precision.unwrap_or(self.opts.precision)
     }
 
+    /// The prediction-cache key of a validated predict spec.
+    fn predict_key(&self, w: &WorkSpec) -> PredictKey {
+        let backend = self.backend_of(w).expect("validated at admission").name();
+        (
+            w.nf.clone(),
+            w.packets,
+            w.seed,
+            w.small_flows,
+            backend,
+            self.effective_precision(w),
+        )
+    }
+
     fn queue_gauge(&self, depth: usize) {
-        obs::volatile_gauge("serve.queue.depth").set(depth as f64);
+        metric::queue_depth().set(depth as f64);
+    }
+
+    /// Counts an admission refusal against the global total and the
+    /// tenant, and renders its typed error.
+    fn refuse(&self, id: Option<u64>, tenant: &Tenant, refusal: Refusal) -> String {
+        match refusal {
+            Refusal::Draining => {
+                // A lifecycle refusal, not a failure: like `overloaded`
+                // and `quota_exceeded` it stays out of `errors`, which
+                // tallies client mistakes and internal faults only.
+                obs::volatile_counter("serve.draining.rejected").incr();
+                protocol::error_response(
+                    id,
+                    ErrorKind::Draining,
+                    "server is draining and no longer admits work",
+                )
+            }
+            Refusal::Overloaded => {
+                self.overloaded.fetch_add(1, Ordering::SeqCst);
+                tenant.stats.overloaded.fetch_add(1, Ordering::SeqCst);
+                obs::volatile_counter("serve.overloaded").incr();
+                protocol::error_response(
+                    id,
+                    ErrorKind::Overloaded,
+                    &format!("queue at capacity ({})", self.opts.queue_cap),
+                )
+            }
+            Refusal::QuotaExceeded => {
+                self.quota_exceeded.fetch_add(1, Ordering::SeqCst);
+                tenant.stats.quota_exceeded.fetch_add(1, Ordering::SeqCst);
+                obs::volatile_counter("serve.quota_exceeded").incr();
+                protocol::error_response(
+                    id,
+                    ErrorKind::QuotaExceeded,
+                    &format!("tenant `{}` is at its quota ({})", tenant.name, tenant.quota),
+                )
+            }
+        }
     }
 
     /// Counts one failed request against the global total and exactly
@@ -240,7 +439,7 @@ impl Shared {
     }
 
     /// Stops admission — under the queue lock, so it linearizes against
-    /// [`enqueue_and_wait`] — and wakes everyone who might be waiting.
+    /// [`QueueState::refusal`] — and wakes everyone who might be waiting.
     fn begin_drain(&self) {
         self.queue.lock().expect("queue poisoned").draining = true;
         self.cv.notify_all();
@@ -282,7 +481,8 @@ impl Server {
     /// # Errors
     ///
     /// [`ClaraError::Serve`] when the TCP address or UDS path cannot be
-    /// bound (CLI exit code 7); [`ClaraError::Manifest`] when
+    /// bound or a worker or acceptor thread cannot be spawned (CLI exit
+    /// code 7); [`ClaraError::Manifest`] when
     /// `opts.backends` names a device that is not built in (exit code 8).
     pub fn start(opts: ServeOptions, clara: Arc<Clara>) -> Result<ServerHandle, ClaraError> {
         let backend_names = if opts.backends.is_empty() {
@@ -312,6 +512,9 @@ impl Server {
             });
         }
 
+        // Process-wide settings changed below, restored if a spawn fails.
+        let prior_engine = opts.deadline.map(|_| engine::configured());
+        let prior_obs = obs::enabled();
         if let Some(d) = opts.deadline {
             let mut eo = engine::configured();
             eo.stage_deadline = Some(d);
@@ -332,7 +535,7 @@ impl Server {
         let shared = Arc::new(Shared {
             clara,
             predictor_fp,
-            predict_cache: Mutex::new(HashMap::new()),
+            predict_cache: Mutex::new(ClockCache::new(PREDICT_CACHE_CAP)),
             corpus,
             backends,
             registry: Registry::new(workers, opts.queue_cap),
@@ -354,33 +557,31 @@ impl Server {
             root,
         });
 
-        let workers = (0..workers)
-            .map(|i| {
-                let s = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("clara-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&s, i))
-                    .expect("spawn worker thread")
-            })
-            .collect();
-
-        let mut acceptors = vec![{
+        // Workers first, then acceptors; a failed spawn stops and joins
+        // every thread already started and restores the prior settings.
+        let mut started = Vec::with_capacity(workers + 2);
+        let undo = Undo {
+            shared: &shared,
+            uds_path: opts.uds_path.as_deref(),
+            engine: prior_engine,
+            obs_enabled: prior_obs,
+        };
+        for i in 0..workers {
             let s = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("clara-serve-accept".to_string())
-                .spawn(move || accept_loop(&listener, &s))
-                .expect("spawn acceptor thread")
-        }];
+            let name = format!("clara-serve-worker-{i}");
+            spawn_or_abandon(&mut started, &undo, name, move || worker_loop(&s, i))?;
+        }
+        let s = Arc::clone(&shared);
+        let name = "clara-serve-accept".to_string();
+        spawn_or_abandon(&mut started, &undo, name, move || accept_loop(&listener, &s))?;
         #[cfg(unix)]
         if let Some(l) = uds_listener {
             let s = Arc::clone(&shared);
-            acceptors.push(
-                std::thread::Builder::new()
-                    .name("clara-serve-accept-uds".to_string())
-                    .spawn(move || uds_accept_loop(&l, &s))
-                    .expect("spawn UDS acceptor thread"),
-            );
+            let name = "clara-serve-accept-uds".to_string();
+            spawn_or_abandon(&mut started, &undo, name, move || uds_accept_loop(&l, &s))?;
         }
+        let acceptors = started.split_off(workers);
+        let workers = started;
 
         Ok(ServerHandle {
             addr,
@@ -390,6 +591,68 @@ impl Server {
             uds_path: opts.uds_path.clone(),
             root_guard: Some(root_guard),
         })
+    }
+}
+
+/// What a failed [`Server::start`] takes down or puts back: the
+/// half-started server, its socket file, and the process-wide settings
+/// it changed — the engine options (only when a deadline replaced them)
+/// and whether obs recording was on.
+struct Undo<'a> {
+    shared: &'a Shared,
+    uds_path: Option<&'a str>,
+    engine: Option<EngineOptions>,
+    obs_enabled: bool,
+}
+
+/// Spawns one of the server's long-lived threads into `started`. When
+/// the OS refuses, `undo` is applied instead — workers exit once
+/// draining with an empty queue, acceptors once stopped — and the
+/// failure is a [`ClaraError::Serve`], not a panic.
+fn spawn_or_abandon(
+    started: &mut Vec<JoinHandle<()>>,
+    undo: &Undo,
+    name: String,
+    body: impl FnOnce() + Send + 'static,
+) -> Result<(), ClaraError> {
+    match std::thread::Builder::new().name(name.clone()).spawn(body) {
+        Ok(t) => {
+            started.push(t);
+            Ok(())
+        }
+        Err(e) => {
+            undo.shared.begin_drain();
+            undo.shared.stopped.store(true, Ordering::SeqCst);
+            for t in started.drain(..) {
+                let _ = t.join();
+            }
+            if let Some(path) = undo.uds_path {
+                let _ = std::fs::remove_file(path);
+            }
+            if let Some(eo) = &undo.engine {
+                engine::configure(eo);
+            }
+            if !undo.obs_enabled {
+                obs::disable();
+            }
+            Err(ClaraError::Serve {
+                detail: format!("cannot spawn thread `{name}`: {e}"),
+            })
+        }
+    }
+}
+
+/// Spawns a detached connection thread. When the OS refuses, the
+/// stream — moved into `serve`, which the failed spawn drops — closes:
+/// that one client loses its connection, `serve.conn.spawn_failed`
+/// counts it, and the acceptor keeps serving everyone else.
+fn spawn_conn(name: &str, serve: impl FnOnce() + Send + 'static) {
+    if std::thread::Builder::new()
+        .name(name.to_string())
+        .spawn(serve)
+        .is_err()
+    {
+        obs::volatile_counter("serve.conn.spawn_failed").incr();
     }
 }
 
@@ -468,10 +731,7 @@ fn accept_loop(listener: &TcpListener, s: &Arc<Shared>) {
                 // on blocking reads for as long as the client keeps the
                 // connection open, so joining them would hand shutdown
                 // latency to the slowest client.
-                std::thread::Builder::new()
-                    .name("clara-serve-conn".to_string())
-                    .spawn(move || handle_conn(stream, &s))
-                    .expect("spawn connection thread");
+                spawn_conn("clara-serve-conn", move || handle_conn(stream, &s));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
@@ -495,10 +755,7 @@ fn uds_accept_loop(listener: &UnixListener, s: &Arc<Shared>) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let s = Arc::clone(s);
-                std::thread::Builder::new()
-                    .name("clara-serve-conn-uds".to_string())
-                    .spawn(move || handle_conn_framed(stream, &s))
-                    .expect("spawn UDS connection thread");
+                spawn_conn("clara-serve-conn-uds", move || handle_conn_framed(stream, &s));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
@@ -580,18 +837,9 @@ fn handle_line(line: &str, s: &Arc<Shared>) -> String {
             return protocol::error_response(None, ErrorKind::BadRequest, &detail);
         }
     };
-    let op_name = match &env.req {
-        Request::Predict(_) => "predict",
-        Request::Analyze(_) => "analyze",
-        Request::Difftest { .. } => "difftest",
-        Request::Place(_) => "place",
-        Request::Register(_) => "register",
-        Request::Stats => "stats",
-        Request::Drain => "drain",
-    };
+    let latency = metric::op_latency(&env.req);
     let response = dispatch(env, s);
-    obs::volatile_histogram(&format!("serve.op.{op_name}.latency_us"))
-        .observe(started.elapsed().as_micros() as f64);
+    latency.observe(started.elapsed().as_micros() as f64);
     response
 }
 
@@ -718,7 +966,14 @@ fn dispatch_work(id: Option<u64>, t: Arc<Tenant>, req: Request, s: &Arc<Shared>)
                 ),
             )
         }
-        Request::Predict(w) => enqueue_and_wait(id, t, JobKind::Predict(w), s),
+        Request::Predict(w) => {
+            let key = s.predict_key(&w);
+            let hit = s.predict_cache.lock().expect("predict cache lock").get(&key).cloned();
+            match hit {
+                Some(body) => answer_hit(id, &t, &body, s),
+                None => enqueue_and_wait(id, t, JobKind::Predict(w), s),
+            }
+        }
         Request::Analyze(w) => enqueue_and_wait(id, t, JobKind::Analyze(w), s),
         Request::Difftest { seeds, start, pkts } => {
             enqueue_and_wait(id, t, JobKind::Difftest { seeds, start, pkts }, s)
@@ -740,28 +995,9 @@ fn enqueue_and_wait(id: Option<u64>, tenant: Arc<Tenant>, kind: JobKind, s: &Arc
         // admitted here is *guaranteed* a live worker pool — workers
         // only exit after observing `draining && total == 0` under this
         // same lock.
-        if qs.draining {
+        if let Some(refusal) = qs.refusal(&tenant, s.opts.queue_cap) {
             drop(qs);
-            // A lifecycle refusal, not a failure: like `overloaded` and
-            // `quota_exceeded` it stays out of `errors`, which tallies
-            // client mistakes and internal faults only.
-            obs::volatile_counter("serve.draining.rejected").incr();
-            return protocol::error_response(
-                id,
-                ErrorKind::Draining,
-                "server is draining and no longer admits work",
-            );
-        }
-        if qs.total >= s.opts.queue_cap {
-            drop(qs);
-            s.overloaded.fetch_add(1, Ordering::SeqCst);
-            tenant.stats.overloaded.fetch_add(1, Ordering::SeqCst);
-            obs::volatile_counter("serve.overloaded").incr();
-            return protocol::error_response(
-                id,
-                ErrorKind::Overloaded,
-                &format!("queue at capacity ({})", s.opts.queue_cap),
-            );
+            return s.refuse(id, &tenant, refusal);
         }
         let tq = qs
             .queues
@@ -771,17 +1007,6 @@ fn enqueue_and_wait(id: Option<u64>, tenant: Arc<Tenant>, kind: JobKind, s: &Arc
                 jobs: VecDeque::new(),
                 deficit: 0,
             });
-        if tq.jobs.len() >= tenant.quota {
-            drop(qs);
-            s.quota_exceeded.fetch_add(1, Ordering::SeqCst);
-            tenant.stats.quota_exceeded.fetch_add(1, Ordering::SeqCst);
-            obs::volatile_counter("serve.quota_exceeded").incr();
-            return protocol::error_response(
-                id,
-                ErrorKind::QuotaExceeded,
-                &format!("tenant `{}` is at its quota ({})", tenant.name, tenant.quota),
-            );
-        }
         let was_empty = tq.jobs.is_empty();
         // Refresh the queue's view of the tenant so a re-registration's
         // new quota/defaults apply from the next admission on.
@@ -807,6 +1032,28 @@ fn enqueue_and_wait(id: Option<u64>, tenant: Arc<Tenant>, kind: JobKind, s: &Arc
     rx.recv().unwrap_or_else(|_| {
         protocol::error_response(id, ErrorKind::Internal, "worker dropped the request")
     })
+}
+
+/// Answers a prediction-cache hit on the connection thread from its
+/// rendered `body`. The hit passes the same admission step as a queued
+/// job, under the queue lock, and is counted in flight before the lock
+/// drops, so a drain that flips after admission waits for it.
+fn answer_hit(id: Option<u64>, tenant: &Tenant, body: &str, s: &Shared) -> String {
+    {
+        let qs = s.queue.lock().expect("queue poisoned");
+        if let Some(refusal) = qs.refusal(tenant, s.opts.queue_cap) {
+            drop(qs);
+            return s.refuse(id, tenant, refusal);
+        }
+        s.in_flight.fetch_add(1, Ordering::SeqCst);
+    }
+    metric::predict_ops().incr();
+    metric::predict_hits().incr();
+    s.served.fetch_add(1, Ordering::SeqCst);
+    tenant.stats.served.fetch_add(1, Ordering::SeqCst);
+    let response = protocol::ok_response(id, body);
+    s.in_flight.fetch_sub(1, Ordering::SeqCst);
+    response
 }
 
 fn register_inline(
@@ -1145,7 +1392,10 @@ fn run_batch(batch: Vec<Job>, s: &Arc<Shared>) {
 
 fn run_predict_batch(batch: Vec<Job>, s: &Arc<Shared>) {
     let n = batch.len();
-    obs::counter("serve.ops.predict").add(n as u64);
+    metric::predict_ops().add(n as u64);
+    // Hits are answered on the connection thread and never queue, so
+    // every predict a worker sees is a miss.
+    metric::predict_misses().add(n as u64);
     let specs: Vec<&WorkSpec> = batch
         .iter()
         .map(|j| match &j.kind {
@@ -1157,74 +1407,41 @@ fn run_predict_batch(batch: Vec<Job>, s: &Arc<Shared>) {
     // the whole batch routes to the first spec's device and path.
     let backend = s.backend_of(specs[0]).expect("validated at admission");
     let precision = s.effective_precision(specs[0]);
-    let keys: Vec<PredictKey> = specs
+    // Trace synthesis is itself per-request work worth skipping on a
+    // hit, so it happens only here, for the misses.
+    let traces: Vec<_> = specs.iter().map(|w| w.trace()).collect();
+    let items: Vec<(&Module, &trafgen::Trace)> = specs
         .iter()
-        .map(|w| {
-            (
-                w.nf.clone(),
-                w.packets,
-                w.seed,
-                w.small_flows,
-                backend.name().to_string(),
-                precision,
-            )
+        .zip(&traces)
+        .map(|(w, t)| (s.corpus.get(&w.nf).expect("validated at admission"), t))
+        .collect();
+    let engine_results = {
+        let span = obs::span_under(s.root, "serve-predict-batch");
+        let _ctx = obs::attach(span.handle());
+        s.clara
+            .predict_batch_on_prec_cached(&items, backend, precision, s.predictor_fp)
+    };
+    let bodies: Vec<Result<Arc<str>, ClaraError>> = specs
+        .iter()
+        .zip(engine_results)
+        .map(|(w, result)| {
+            result.map(|p| Arc::from(protocol::predict_body(&w.nf, backend.name(), precision, &p)))
         })
         .collect();
-    let mut results: Vec<Option<Result<Prediction, clara_core::ClaraError>>> =
-        (0..n).map(|_| None).collect();
-    let mut hits = 0u64;
     {
-        let cache = s.predict_cache.lock().expect("predict cache lock");
-        for (slot, key) in results.iter_mut().zip(&keys) {
-            if let Some(p) = cache.get(key) {
-                *slot = Some(Ok(p.clone()));
-                hits += 1;
-            }
-        }
-    }
-    let misses: Vec<usize> = (0..n).filter(|i| results[*i].is_none()).collect();
-    obs::counter("serve.cache.predict_hits").add(hits);
-    obs::counter("serve.cache.predict_misses").add(misses.len() as u64);
-    if !misses.is_empty() {
-        // Trace synthesis is itself per-request work worth skipping on a
-        // hit, so it happens only for the cache misses.
-        let traces: Vec<_> = misses.iter().map(|&i| specs[i].trace()).collect();
-        let items: Vec<(&Module, &trafgen::Trace)> = misses
-            .iter()
-            .zip(&traces)
-            .map(|(&i, t)| {
-                (
-                    s.corpus.get(&specs[i].nf).expect("validated at admission"),
-                    t,
-                )
-            })
-            .collect();
-        let engine_results = {
-            let span = obs::span_under(s.root, "serve-predict-batch");
-            let _ctx = obs::attach(span.handle());
-            s.clara
-                .predict_batch_on_prec_cached(&items, backend, precision, s.predictor_fp)
-        };
         let mut cache = s.predict_cache.lock().expect("predict cache lock");
-        for (&i, result) in misses.iter().zip(engine_results) {
-            if let Ok(p) = &result {
-                if cache.len() < PREDICT_CACHE_CAP {
-                    cache.insert(keys[i].clone(), p.clone());
-                }
+        for (w, body) in specs.iter().zip(&bodies) {
+            if let Ok(body) = body {
+                cache.insert(s.predict_key(w), Arc::clone(body));
             }
-            results[i] = Some(result);
         }
     }
-    let results: Vec<_> = results
-        .into_iter()
-        .map(|r| r.expect("every slot filled by hit or miss path"))
-        .collect();
-    for ((job, spec), result) in batch.iter().zip(&specs).zip(results) {
-        let response = match result {
-            Ok(p) => {
+    for (job, body) in batch.iter().zip(bodies) {
+        let response = match body {
+            Ok(body) => {
                 s.served.fetch_add(1, Ordering::SeqCst);
                 job.tenant.stats.served.fetch_add(1, Ordering::SeqCst);
-                protocol::predict_response(job.id, &spec.nf, backend.name(), precision, &p)
+                protocol::ok_response(job.id, &body)
             }
             Err(e) => {
                 s.count_error(&job.tenant);
@@ -1387,4 +1604,50 @@ mod term {
 /// acceptor polls it). No-op on non-unix platforms.
 pub fn install_sigterm_drain() {
     term::install();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ClockCache;
+
+    fn contains(c: &ClockCache<&'static str, u32>, key: &str) -> bool {
+        c.index.contains_key(key)
+    }
+
+    #[test]
+    fn clock_cache_evicts_the_oldest_unreferenced_entry() {
+        let mut c = ClockCache::new(3);
+        for (i, k) in ["a", "b", "c"].into_iter().enumerate() {
+            c.insert(k, i as u32);
+        }
+        // Re-reference the oldest entry: it earns a second chance.
+        assert_eq!(c.get(&"a"), Some(&0));
+        c.insert("d", 3);
+        assert!(!contains(&c, "b"), "b is the oldest unreferenced entry");
+        for k in ["a", "c", "d"] {
+            assert!(contains(&c, k), "{k} must survive");
+        }
+        // The sweep spent a's chance; c is next in clock order.
+        c.insert("e", 4);
+        assert!(!contains(&c, "c"));
+        // Referenced again, a outlives the newer unreferenced d.
+        assert_eq!(c.get(&"a"), Some(&0));
+        c.insert("f", 5);
+        assert!(!contains(&c, "d"));
+        for k in ["a", "e", "f"] {
+            assert!(contains(&c, k), "{k} must survive");
+        }
+        assert_eq!(c.slots.len(), 3, "capacity is never exceeded");
+    }
+
+    #[test]
+    fn clock_cache_overwrites_in_place() {
+        let mut c = ClockCache::new(2);
+        c.insert("a", 1);
+        c.insert("a", 2);
+        c.insert("b", 3);
+        assert_eq!(c.get(&"a"), Some(&2));
+        assert_eq!(c.get(&"b"), Some(&3));
+        assert_eq!(c.slots.len(), 2);
+    }
 }

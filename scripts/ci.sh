@@ -8,6 +8,12 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# At a root with `[package]`, `cargo test` runs the root package only:
+# the member crates' own tests (serve's protocol tests among them) need
+# the workspace run. The benchmark package is its own workspace; its
+# tests also catch a break in the public serve API it builds against.
+cargo test -q --workspace --exclude clara-repro --no-fail-fast
+cargo test -q --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

@@ -11,7 +11,9 @@
 //! `unknown_tenant`/`quota_exceeded` rejections, and fair latency
 //! while another tenant bursts; (f) drain racing concurrent
 //! enqueuers always terminates with every admitted job answered;
-//! (g) the UDS frame transport serves bytes identical to TCP lines.
+//! (g) the UDS frame transport serves bytes identical to TCP lines;
+//! (h) prediction-cache hits are answered on the connection thread,
+//! past a busy worker, yet admitted and attributed like queued jobs.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -1173,4 +1175,129 @@ fn uds_frames_serve_bytes_identical_to_tcp_lines() {
     assert_eq!(summary.served, 3, "one TCP predict + two framed predicts");
     assert_eq!(summary.errors, 0);
     assert!(!sock.exists(), "join must remove the socket file");
+}
+
+/// (h) Cache hits are answered on their connection thread: with one
+/// worker busy on a heavy never-seen predict, a warmed hit on another
+/// connection still comes back, byte-identical, before the heavy one.
+#[test]
+fn cache_hit_is_answered_while_the_only_worker_is_busy() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let _g = serve_lock();
+    let handle = start(1, 8, 1);
+    let addr = handle.addr();
+    let mut conn = Conn::open(addr);
+    let (warm, _) = predict_req(1, "vlantag", 80, 4141);
+    let first = conn.send(&warm);
+    assert!(first.contains("\"ok\":true"), "warm-up predict succeeds: {first}");
+
+    let heavy_done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut heavy = Conn::open(addr);
+            let (line, _) = predict_req(2, "cmsketch", 3000, 9191);
+            let resp = heavy.send(&line);
+            heavy_done.store(true, Ordering::SeqCst);
+            assert!(resp.contains("\"ok\":true"), "heavy predict succeeds: {resp}");
+        });
+        // Wait until the sole worker has taken the heavy job off the
+        // queue: nothing queued, one job in flight.
+        let stats_line = protocol::render_request(None, &Request::Stats);
+        loop {
+            let stats = conn.send(&stats_line);
+            if stat_u64(&stats, "queue_depth") == 0 && stat_u64(&stats, "in_flight") == 1 {
+                break;
+            }
+            assert!(
+                !heavy_done.load(Ordering::SeqCst),
+                "the heavy predict finished before it was seen in flight"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let again = conn.send(&warm);
+        assert!(
+            !heavy_done.load(Ordering::SeqCst),
+            "a cache hit must not wait for the busy worker"
+        );
+        assert_eq!(again, first, "the hit renders the warm-up's bytes");
+    });
+
+    handle.drain();
+    let summary = handle.join();
+    assert_eq!(summary.served, 3, "warm-up, hit, and the heavy predict");
+    assert_eq!(summary.errors, 0);
+}
+
+/// (h) An inline hit is still admitted like a queued job: sent on an
+/// open connection after drain completed, it gets the typed `draining`
+/// error rather than its cached answer.
+#[test]
+fn cache_hit_after_drain_is_refused_with_draining() {
+    let _g = serve_lock();
+    let handle = start(2, 8, 4);
+    let mut conn = Conn::open(handle.addr());
+    let (line, _) = predict_req(3, "tcpack", 70, 5151);
+    let first = conn.send(&line);
+    assert!(first.contains("\"ok\":true"), "cold predict succeeds: {first}");
+    assert_eq!(conn.send(&line), first, "the repeat is served from the cache");
+
+    handle.drain();
+    let resp = conn.send(&line);
+    let v = serde_json::parse_value(&resp).expect("refusal parses");
+    assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "{resp}");
+    assert_eq!(
+        v.get("error"),
+        Some(&Value::Str("draining".to_string())),
+        "a hit after drain must be refused like a queued predict: {resp}"
+    );
+
+    let summary = handle.join();
+    assert_eq!(summary.served, 2);
+    assert_eq!(summary.errors, 0, "a draining refusal is not an error");
+}
+
+/// (h) Hits answered inline are attributed to their tenant: the
+/// per-tenant `served` counters still sum to the global total and to
+/// [`ServeSummary::served`](clara_repro::serve::ServeSummary).
+#[test]
+fn tenant_served_counters_include_inline_hits() {
+    let _g = serve_lock();
+    let handle = start(2, 16, 4);
+    let mut conn = Conn::open(handle.addr());
+    let resp = conn.send(&protocol::render_request_as(
+        Some(1),
+        Some("gamma"),
+        &Request::Register(RegisterSpec {
+            nfs: vec!["udpcount".to_string()],
+            backend: None,
+            precision: None,
+            quota: Some(2),
+        }),
+    ));
+    assert!(resp.contains("\"ok\":true"), "gamma registers: {resp}");
+
+    // Default tenant: one miss, then two hits.
+    let (line, _) = predict_req(2, "firewall", 60, 6161);
+    for _ in 0..3 {
+        let resp = conn.send(&line);
+        assert!(resp.contains("\"ok\":true"), "default-tenant predict: {resp}");
+    }
+    // gamma: one miss, then three hits.
+    let (_, w) = predict_req(3, "udpcount", 60, 6262);
+    let line = protocol::render_request_as(Some(3), Some("gamma"), &Request::Predict(w));
+    for _ in 0..4 {
+        let resp = conn.send(&line);
+        assert!(resp.contains("\"ok\":true"), "gamma predict: {resp}");
+    }
+
+    let stats = conn.send(&protocol::render_request(None, &Request::Stats));
+    let (t_served, ..) = tenant_sums(&stats);
+    assert_eq!(t_served, 7, "every hit and miss attributed to a tenant: {stats}");
+    assert_eq!(t_served, stat_u64(&stats, "served"), "{stats}");
+
+    handle.drain();
+    let summary = handle.join();
+    assert_eq!(summary.served, t_served, "wire stats reconcile with the summary");
+    assert_eq!(summary.errors, 0);
 }
