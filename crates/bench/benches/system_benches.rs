@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use clara_core::predict::{block_samples, InstructionPredictor, PredictTrainConfig, PredictorKind};
+use clara_core::Precision;
 use ilp_solver::AssignmentProblem;
 use nic_sim::{solve_perf, NicConfig, PortConfig};
 use trafgen::{Trace, WorkloadSpec};
@@ -51,7 +52,7 @@ fn bench_lstm_inference(c: &mut Criterion) {
     );
     let tokens = samples[0].tokens.clone();
     c.bench_function("lstm_predict_block", |b| {
-        b.iter(|| black_box(model.predict_block(&tokens)));
+        b.iter(|| black_box(model.predict_block_prec(&tokens, Precision::F64)));
     });
 }
 

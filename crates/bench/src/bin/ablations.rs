@@ -16,6 +16,7 @@ use clara_bench::{banner, f2, nic, scaled, table, trace_len};
 use clara_core::coalesce::{access_vectors, eval_plan, suggest_coalescing};
 use clara_core::engine;
 use clara_core::placement::{apply_placement, plan::suggest_placement};
+use clara_core::Precision;
 use nf_ir::GlobalId;
 use nic_sim::{solve_perf, CoalescePlan, MemLevel, NicConfig, PortConfig};
 use trafgen::{Trace, WorkloadSpec};
@@ -64,7 +65,7 @@ fn ablate_reverse_porting() {
         let body_pred: f64 = prepared
             .blocks
             .iter()
-            .map(|b| model.predict_block(&b.tokens))
+            .map(|b| model.predict_block_prec(&b.tokens, Precision::F64))
             .sum();
         // Ablated: pretend each API call costs what an average predicted
         // block costs (no reverse-ported knowledge).

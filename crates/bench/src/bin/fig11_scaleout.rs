@@ -8,6 +8,7 @@
 
 use clara_bench::{banner, f2, f3, nic, scaled, table, trace_len};
 use clara_core::scaleout::{optimal_by_sweep, training_set, ScaleoutKind, ScaleoutModel};
+use clara_core::Precision;
 use nic_sim::{solve_perf, NicConfig, PortConfig, WorkloadProfile};
 use trafgen::{Trace, WorkloadSpec};
 
@@ -59,7 +60,7 @@ fn main() {
             &port,
         );
         let suggested = clara
-            .predict(&small, &run_cfg, &port)
+            .predict_prec(&small, &run_cfg, &port, Precision::F64)
             .expect("finite prediction");
         let optimal = optimal_by_sweep(&small, &run_cfg, &port);
         let ratio_sugg = solve_perf(&small, &run_cfg, &port, suggested).ratio();
@@ -114,7 +115,7 @@ fn main() {
     {
         let port = PortConfig::naive().with_csum_accel();
         let suggested = clara
-            .predict(&t.2, &run_cfg, &port)
+            .predict_prec(&t.2, &run_cfg, &port, Precision::F64)
             .expect("finite prediction");
         println!("  {} (Clara suggests {suggested} cores):", t.0);
         let mut rows = Vec::new();

@@ -200,7 +200,7 @@ impl Default for ClaraConfigBuilder {
 }
 
 /// A fully trained Clara instance.
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 pub struct Clara {
     /// Instruction predictor (LSTM+FC).
     pub predictor: InstructionPredictor,
@@ -211,9 +211,13 @@ pub struct Clara {
     /// NIC configuration used for training and analysis.
     pub nic: NicConfig,
     /// Default inference precision (from [`ClaraConfig::precision`] at
-    /// train time; `F64` for version-1 model files). Entry points without
-    /// an explicit precision use this.
+    /// train time; `F64` for version-1 model files). Callers with no
+    /// precision of their own pass this.
     pub precision: Precision,
+    /// [`Clara::predictor_fingerprint`], hashed once when the instance
+    /// is built. It keys the process-wide prediction memo, so
+    /// `predictor` must not change after construction.
+    predictor_fp: u64,
 }
 
 /// The offloading insights Clara generates for one NF + workload.
@@ -238,9 +242,9 @@ pub struct Insights {
 }
 
 /// The lightweight performance-parameter bundle served per request by
-/// `clara serve` and returned by [`Clara::predict_one`]/
-/// [`Clara::predict_batch`]: the paper's §3 predictions without the §4
-/// porting strategies (no placement ILP, no coalescing clustering).
+/// `clara serve` and returned by [`Clara::predict`]: the paper's §3
+/// predictions without the §4 porting strategies (no placement ILP, no
+/// coalescing clustering).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Prediction {
     /// Predicted NIC compute instructions per packet-handler invocation.
@@ -401,6 +405,7 @@ impl Clara {
         }
         match (predictor, algid, scaleout) {
             (Some(predictor), Some(algid), Some(scaleout)) if failed == 0 => Ok(Clara {
+                predictor_fp: engine::value_fingerprint(&predictor),
                 predictor,
                 algid,
                 scaleout,
@@ -497,71 +502,34 @@ impl Clara {
                 .get(name)
                 .ok_or_else(|| format(format!("missing `models.{name}` section")))
         };
-        let mut clara = Clara {
-            predictor: InstructionPredictor::from_value(field("predictor")?)
-                .map_err(|e| format(e.to_string()))?,
-            algid: AlgoIdentifier::from_value(field("algid")?)
-                .map_err(|e| format(e.to_string()))?,
-            scaleout: ScaleoutModel::from_value(field("scaleout")?)
-                .map_err(|e| format(e.to_string()))?,
-            nic: NicConfig::from_value(
-                v.get("nic_config")
-                    .ok_or_else(|| format("missing `nic_config` section".to_string()))?,
-            )
-            .map_err(|e| format(e.to_string()))?,
-            // Absent in version-1 envelopes; `from_value(Null)` yields
-            // the legacy F64 default.
-            precision: Precision::from_value(v.get("precision").unwrap_or(&Value::Null))
-                .map_err(|e| format(e.to_string()))?,
-        };
+        let mut predictor = InstructionPredictor::from_value(field("predictor")?)
+            .map_err(|e| format(e.to_string()))?;
+        let algid =
+            AlgoIdentifier::from_value(field("algid")?).map_err(|e| format(e.to_string()))?;
+        let mut scaleout =
+            ScaleoutModel::from_value(field("scaleout")?).map_err(|e| format(e.to_string()))?;
+        let nic = NicConfig::from_value(
+            v.get("nic_config")
+                .ok_or_else(|| format("missing `nic_config` section".to_string()))?,
+        )
+        .map_err(|e| format(e.to_string()))?;
+        // Absent in version-1 envelopes; `from_value(Null)` yields the
+        // legacy F64 default.
+        let precision = Precision::from_value(v.get("precision").unwrap_or(&Value::Null))
+            .map_err(|e| format(e.to_string()))?;
         // Version-1 files predate the quantized companions; rebuild them
-        // from the f64 weights (no-op for version-2 files).
-        clara.predictor.ensure_quantized();
-        clara.scaleout.ensure_quantized();
-        Ok(clara)
-    }
-
-    /// Predicts the performance parameters of one NF + workload — the
-    /// single-item form of [`Clara::predict_batch`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Clara::predict_batch`]'s per-item results.
-    pub fn predict_one(&self, module: &Module, trace: &Trace) -> Result<Prediction, ClaraError> {
-        self.predict_batch(&[(module, trace)])
-            .pop()
-            .expect("one item in, one result out")
-    }
-
-    /// [`Clara::predict_one`] against a specific device backend.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Clara::predict_batch`]'s per-item results.
-    pub fn predict_one_on(
-        &self,
-        module: &Module,
-        trace: &Trace,
-        backend: &dyn clara_hal::Backend,
-    ) -> Result<Prediction, ClaraError> {
-        self.predict_one_on_prec(module, trace, backend, self.precision)
-    }
-
-    /// [`Clara::predict_one_on`] at an explicit precision.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Clara::predict_batch`]'s per-item results.
-    pub fn predict_one_on_prec(
-        &self,
-        module: &Module,
-        trace: &Trace,
-        backend: &dyn clara_hal::Backend,
-        precision: Precision,
-    ) -> Result<Prediction, ClaraError> {
-        self.predict_batch_on_prec(&[(module, trace)], backend, precision)
-            .pop()
-            .expect("one item in, one result out")
+        // from the f64 weights (no-op for version-2 files). The
+        // fingerprint covers the companions, so it is taken afterwards.
+        predictor.ensure_quantized();
+        scaleout.ensure_quantized();
+        Ok(Clara {
+            predictor_fp: engine::value_fingerprint(&predictor),
+            predictor,
+            algid,
+            scaleout,
+            nic,
+            precision,
+        })
     }
 
     /// The trace-independent half of a prediction (verification, LSTM
@@ -572,15 +540,10 @@ impl Clara {
     /// functions of the key, so a hit is bit-identical to recomputation;
     /// hit/miss counters are volatile because racing batch workers may
     /// both miss the same key.
-    fn module_half(
-        &self,
-        predictor_fp: u64,
-        module: &Module,
-        precision: Precision,
-    ) -> Result<(f64, u32), ClaraError> {
+    fn module_half(&self, module: &Module, precision: Precision) -> Result<(f64, u32), ClaraError> {
         type HalfMemo = Mutex<HashMap<(u64, u64, Precision), (f64, u32)>>;
         static MEMO: OnceLock<HalfMemo> = OnceLock::new();
-        let key = (predictor_fp, engine::value_fingerprint(module), precision);
+        let key = (self.predictor_fp, engine::value_fingerprint(module), precision);
         let memo = MEMO.get_or_init(Mutex::default);
         if let Some(&hit) = memo.lock().expect("memo poisoned").get(&key) {
             obs::volatile_counter("clara.predict_memo.hits").incr();
@@ -599,16 +562,26 @@ impl Clara {
         Ok(value)
     }
 
-    /// Predicts performance parameters for a whole batch of
-    /// `(module, trace)` pairs in **one** engine stage.
+    /// Predicts performance parameters for a batch of `(module, trace)`
+    /// pairs on one device `backend` at one inference `precision`, in
+    /// **one** engine stage.
     ///
-    /// This is the serving-path entry point: the batch fans out across
-    /// the worker pool as a single `predict-batch` [`crate::engine`]
-    /// stage (instead of one facade call per request), and every item
-    /// reuses one request-scoped [`engine::Engine`] handle so compiles
-    /// and profiles are shared through the process-wide caches. Results
-    /// come back in input order and are bit-identical to calling
-    /// [`Clara::predict_one`] per item serially.
+    /// The batch fans out across the worker pool as a single
+    /// `predict-batch` [`crate::engine`] stage, and every item reuses one
+    /// request-scoped [`engine::Engine`] handle so compiles and profiles
+    /// are shared through the process-wide caches. Results come back in
+    /// input order and are bit-identical to predicting each item alone.
+    ///
+    /// The trained models are reused on every backend (compute and
+    /// memory predictions are device-independent); profiling, the
+    /// scale-out estimate and the modeled operating point use the
+    /// backend's device configuration, and its manifest fingerprint keys
+    /// the engine caches, so two devices never share a cached profile.
+    /// `Q16` routes model inference (compute estimate and core
+    /// suggestion) through the fixed-point twins; counted memory,
+    /// profiling and the performance model are precision-independent.
+    /// Callers with no preference pass [`clara_hal::default_backend`] and
+    /// [`Clara::precision`].
     ///
     /// # Errors
     ///
@@ -618,90 +591,21 @@ impl Clara {
     /// model estimate, and [`ClaraError::Degraded`] when the item's
     /// engine task failed permanently (panic past the retry budget or a
     /// stage deadline).
-    pub fn predict_batch(
-        &self,
-        items: &[(&Module, &Trace)],
-    ) -> Vec<Result<Prediction, ClaraError>> {
-        let backend_fp = engine::value_fingerprint(&self.nic);
-        let predictor_fp = self.predictor_fingerprint();
-        self.predict_batch_with(items, &self.nic, backend_fp, self.precision, predictor_fp)
-    }
-
-    /// [`Clara::predict_batch`] against a specific device backend: the
-    /// trained models are reused as-is (compute and memory predictions
-    /// are device-independent), while profiling, the scale-out estimate,
-    /// and the modeled operating point use the backend's device
-    /// configuration — and its manifest fingerprint keys the engine
-    /// caches, so two devices never share a cached profile.
-    pub fn predict_batch_on(
-        &self,
-        items: &[(&Module, &Trace)],
-        backend: &dyn clara_hal::Backend,
-    ) -> Vec<Result<Prediction, ClaraError>> {
-        self.predict_batch_on_prec(items, backend, self.precision)
-    }
-
-    /// [`Clara::predict_batch_on`] at an explicit precision: `Q16` routes
-    /// model inference (compute estimate and core suggestion) through the
-    /// fixed-point twins; counted memory, profiling, and the performance
-    /// model are precision-independent.
-    pub fn predict_batch_on_prec(
+    pub fn predict(
         &self,
         items: &[(&Module, &Trace)],
         backend: &dyn clara_hal::Backend,
         precision: Precision,
     ) -> Vec<Result<Prediction, ClaraError>> {
-        let predictor_fp = self.predictor_fingerprint();
-        self.predict_batch_with(items, backend.nic(), backend.fingerprint(), precision, predictor_fp)
-    }
-
-    /// Content fingerprint of the trained predictor weights — the part
-    /// of the trace-independent prediction memo key that never changes
-    /// for a given instance. Hashing the full weight tensors costs
-    /// milliseconds, which is noise on a one-shot CLI run but dominates
-    /// a warm sub-millisecond serving request; a resident server should
-    /// call this **once** and reuse the value through
-    /// [`Clara::predict_batch_on_prec_cached`].
-    pub fn predictor_fingerprint(&self) -> u64 {
-        engine::value_fingerprint(&self.predictor)
-    }
-
-    /// [`Clara::predict_batch_on_prec`] with a precomputed
-    /// [`Clara::predictor_fingerprint`]: the serving-path entry point.
-    /// Passing a fingerprint that was not produced from this instance's
-    /// predictor poisons the process-wide memo with misattributed
-    /// entries, so callers must cache it per instance.
-    pub fn predict_batch_on_prec_cached(
-        &self,
-        items: &[(&Module, &Trace)],
-        backend: &dyn clara_hal::Backend,
-        precision: Precision,
-        predictor_fp: u64,
-    ) -> Vec<Result<Prediction, ClaraError>> {
-        self.predict_batch_with(items, backend.nic(), backend.fingerprint(), precision, predictor_fp)
-    }
-
-    fn predict_batch_with(
-        &self,
-        items: &[(&Module, &Trace)],
-        nic: &NicConfig,
-        backend_fp: u64,
-        precision: Precision,
-        // The trace-independent half of a prediction (IR verification,
-        // LSTM compute estimate, memory count) is a pure function of
-        // (trained predictor, module) — memoized process-wide under this
-        // fingerprint of the predictor weights, which covers the whole
-        // batch (and, for a resident server, its whole lifetime).
-        predictor_fp: u64,
-    ) -> Vec<Result<Prediction, ClaraError>> {
+        let nic = backend.nic();
+        let backend_fp = backend.fingerprint();
         let eng = engine::Engine::new();
         let naive = PortConfig::naive();
         let outcome = engine::try_par_map("predict-batch", items, |_, &(module, trace)| {
             if trace.pkts.is_empty() {
                 return Err(ClaraError::EmptyTrace);
             }
-            let (predicted_compute, counted_mem) =
-                self.module_half(predictor_fp, module, precision)?;
+            let (predicted_compute, counted_mem) = self.module_half(module, precision)?;
             let profile = eng.profile_cached_for(module, trace, &naive, nic, backend_fp);
             // Scale-out is trained once and parameterized by the device
             // at inference time; the clamp keeps suggestions honest for
@@ -732,8 +636,12 @@ impl Clara {
             .collect()
     }
 
-    /// Analyzes an unported NF against a workload trace, producing the
-    /// full insight bundle.
+    /// Analyzes an unported NF against a workload trace on one device
+    /// `backend` at one inference `precision`, producing the full insight
+    /// bundle. The profiling run, placement capacities, scale-out
+    /// estimate and coalescing evaluation all use the backend's device
+    /// configuration, and its manifest fingerprint keys the engine
+    /// caches; the precision covers what it covers in [`Clara::predict`].
     ///
     /// # Errors
     ///
@@ -743,69 +651,15 @@ impl Clara {
     /// produces an unusable estimate, and [`ClaraError::Degraded`] when
     /// the profiling task failed permanently (exhausted retries or hit a
     /// stage deadline).
-    pub fn analyze(&self, module: &Module, trace: &Trace) -> Result<Insights, ClaraError> {
-        self.analyze_prec(module, trace, self.precision)
-    }
-
-    /// [`Clara::analyze`] at an explicit inference precision (same
-    /// default device).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Clara::analyze`].
-    pub fn analyze_prec(
-        &self,
-        module: &Module,
-        trace: &Trace,
-        precision: Precision,
-    ) -> Result<Insights, ClaraError> {
-        let backend_fp = engine::value_fingerprint(&self.nic);
-        self.analyze_with(module, trace, &self.nic, backend_fp, precision)
-    }
-
-    /// [`Clara::analyze`] against a specific device backend: identical
-    /// code path and span tree, but the profiling run, placement
-    /// capacities, scale-out estimate, and coalescing evaluation all use
-    /// the backend's device configuration, and its manifest fingerprint
-    /// keys the engine caches. Analyzing on the default backend is
-    /// bit-identical to [`Clara::analyze`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Clara::analyze`].
-    pub fn analyze_on(
-        &self,
-        module: &Module,
-        trace: &Trace,
-        backend: &dyn clara_hal::Backend,
-    ) -> Result<Insights, ClaraError> {
-        self.analyze_on_prec(module, trace, backend, self.precision)
-    }
-
-    /// [`Clara::analyze_on`] at an explicit precision (see
-    /// [`Clara::predict_batch_on_prec`] for what the precision covers).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Clara::analyze`].
-    pub fn analyze_on_prec(
+    pub fn analyze(
         &self,
         module: &Module,
         trace: &Trace,
         backend: &dyn clara_hal::Backend,
         precision: Precision,
     ) -> Result<Insights, ClaraError> {
-        self.analyze_with(module, trace, backend.nic(), backend.fingerprint(), precision)
-    }
-
-    fn analyze_with(
-        &self,
-        module: &Module,
-        trace: &Trace,
-        nic: &NicConfig,
-        backend_fp: u64,
-        precision: Precision,
-    ) -> Result<Insights, ClaraError> {
+        let nic = backend.nic();
+        let backend_fp = backend.fingerprint();
         if trace.pkts.is_empty() {
             return Err(ClaraError::EmptyTrace);
         }
@@ -882,6 +736,51 @@ impl Clara {
             profile,
         })
     }
+
+    /// Content fingerprint of the trained predictor weights: the part of
+    /// the trace-independent prediction memo key that never changes for
+    /// a given instance. Hashing the weight tensors costs milliseconds,
+    /// more than a whole cold prediction, so it is computed once when
+    /// the instance is trained or loaded and returned from there.
+    pub fn predictor_fingerprint(&self) -> u64 {
+        self.predictor_fp
+    }
+
+    /// [`Clara::predict`] with the caller's copy of
+    /// [`Clara::predictor_fingerprint`], which must be this instance's.
+    ///
+    /// This exists only because `perfbench/` calls it, and the files
+    /// there change only in a benchmark change; new code calls
+    /// [`Clara::predict`].
+    pub fn predict_batch_on_prec_cached(
+        &self,
+        items: &[(&Module, &Trace)],
+        backend: &dyn clara_hal::Backend,
+        precision: Precision,
+        predictor_fp: u64,
+    ) -> Vec<Result<Prediction, ClaraError>> {
+        debug_assert_eq!(predictor_fp, self.predictor_fp, "fingerprint of another instance");
+        self.predict(items, backend, precision)
+    }
+
+    /// [`Clara::analyze`] under its former name.
+    ///
+    /// This exists only because `perfbench/` calls it, and the files
+    /// there change only in a benchmark change; new code calls
+    /// [`Clara::analyze`].
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Clara::analyze`].
+    pub fn analyze_on_prec(
+        &self,
+        module: &Module,
+        trace: &Trace,
+        backend: &dyn clara_hal::Backend,
+        precision: Precision,
+    ) -> Result<Insights, ClaraError> {
+        self.analyze(module, trace, backend, precision)
+    }
 }
 
 /// Best-effort run-report write for the facade's `CLARA_REPORT` sink
@@ -896,14 +795,19 @@ fn write_report(raw_sink: &str, default_name: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clara_hal::default_backend;
     use trafgen::WorkloadSpec;
+
+    fn analyze(clara: &Clara, module: &Module, trace: &Trace) -> Result<Insights, ClaraError> {
+        clara.analyze(module, trace, default_backend(), clara.precision)
+    }
 
     #[test]
     fn end_to_end_insights_for_cmsketch() {
         let clara = Clara::train(&ClaraConfig::fast(1)).expect("train");
         let e = click_model::elements::cmsketch();
         let trace = Trace::generate(&WorkloadSpec::large_flows(), 300, 2);
-        let insights = clara.analyze(&e.module, &trace).expect("analysis succeeds");
+        let insights = analyze(&clara, &e.module, &trace).expect("analysis succeeds");
 
         assert!(insights.predicted_compute > 0.0);
         assert!(insights.counted_mem > 0);
@@ -937,8 +841,8 @@ mod tests {
 
         let e = click_model::elements::iplookup(256);
         let trace = Trace::generate(&WorkloadSpec::large_flows(), 200, 6);
-        let a = clara.analyze(&e.module, &trace).expect("analysis succeeds");
-        let b = loaded.analyze(&e.module, &trace).expect("analysis succeeds");
+        let a = analyze(&clara, &e.module, &trace).expect("analysis succeeds");
+        let b = analyze(&loaded, &e.module, &trace).expect("analysis succeeds");
         assert_eq!(a.predicted_compute, b.predicted_compute);
         assert_eq!(a.suggested_cores, b.suggested_cores);
         assert_eq!(a.accel, b.accel);
@@ -946,7 +850,24 @@ mod tests {
     }
 
     #[test]
-    fn predict_batch_matches_analyze_and_serial_predict_one() {
+    fn predictor_fingerprint_is_the_fingerprint_of_the_predictor() {
+        let clara = Clara::train(&ClaraConfig::fast(6)).expect("train");
+        assert_eq!(
+            clara.predictor_fingerprint(),
+            engine::value_fingerprint(&clara.predictor)
+        );
+        let path = std::env::temp_dir().join(format!("clara_fp_test_{}.json", std::process::id()));
+        clara.save(&path).expect("saves");
+        let loaded = Clara::load(&path).expect("loads");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            loaded.predictor_fingerprint(),
+            engine::value_fingerprint(&loaded.predictor)
+        );
+    }
+
+    #[test]
+    fn predict_batch_matches_analyze_and_single_item_predict() {
         let clara = Clara::train(&ClaraConfig::fast(8)).expect("train");
         let elems = [
             click_model::elements::cmsketch(),
@@ -961,14 +882,20 @@ mod tests {
             .zip(traces.iter())
             .map(|(e, t)| (&e.module, t))
             .collect();
-        let batch = clara.predict_batch(&items);
+        let predict = |items: &[(&Module, &Trace)]| {
+            clara.predict(items, default_backend(), clara.precision)
+        };
+        let batch = predict(&items);
         assert_eq!(batch.len(), items.len());
         for ((e, t), p) in elems.iter().zip(traces.iter()).zip(batch.iter().map(|r| {
             r.as_ref().expect("batch item succeeds")
         })) {
-            let one = clara.predict_one(&e.module, t).expect("predict_one succeeds");
+            let one = predict(&[(&e.module, t)])
+                .pop()
+                .expect("one result per item")
+                .expect("single-item predict succeeds");
             assert_eq!(&one, p, "batch and single-item predictions must agree");
-            let insights = clara.analyze(&e.module, t).expect("analyze succeeds");
+            let insights = analyze(&clara, &e.module, t).expect("analyze succeeds");
             assert_eq!(p.predicted_compute, insights.predicted_compute);
             assert_eq!(p.counted_mem, insights.counted_mem);
             assert_eq!(p.suggested_cores, insights.suggested_cores);
@@ -976,7 +903,7 @@ mod tests {
         // Per-item failures stay per-item: an empty trace fails its slot
         // without poisoning the rest of the batch.
         let empty = Trace::generate(&WorkloadSpec::large_flows(), 0, 1);
-        let mixed = clara.predict_batch(&[(&elems[0].module, &empty), items[1]]);
+        let mixed = predict(&[(&elems[0].module, &empty), items[1]]);
         assert!(matches!(mixed[0], Err(ClaraError::EmptyTrace)));
         assert!(mixed[1].is_ok());
     }
@@ -986,13 +913,13 @@ mod tests {
         let clara = Clara::train(&ClaraConfig::fast(3)).expect("train");
         let e = click_model::elements::tcpack();
         let trace = Trace::generate(&WorkloadSpec::large_flows(), 100, 4);
-        let insights = clara.analyze(&e.module, &trace).expect("analysis succeeds");
+        let insights = analyze(&clara, &e.module, &trace).expect("analysis succeeds");
         assert!(insights.placement.is_empty());
         assert!(insights.coalesce.clusters.is_empty());
         assert!(insights.accel.is_none(), "{:?}", insights.accel);
         let empty = Trace::generate(&WorkloadSpec::large_flows(), 0, 4);
         assert!(matches!(
-            clara.analyze(&e.module, &empty),
+            analyze(&clara, &e.module, &empty),
             Err(ClaraError::EmptyTrace)
         ));
     }

@@ -653,6 +653,17 @@ fn profile_misses() -> &'static obs::Counter {
     eng_ctr(&PROFILE_MISSES, "engine.profile_cache.misses")
 }
 
+/// Counts one cache lookup. The caller resolves both counters, so both
+/// register on the first lookup: a report's keys then do not depend on
+/// whether an earlier lookup in this process happened to hit.
+fn count_lookup(hit: bool, hits: &'static obs::Counter, misses: &'static obs::Counter) {
+    if hit {
+        hits.incr();
+    } else {
+        misses.incr();
+    }
+}
+
 /// Content fingerprint of any serializable value (for cache keys).
 pub fn value_fingerprint<T: Serialize>(v: &T) -> u64 {
     let json = serde_json::to_string(v).unwrap_or_default();
@@ -774,11 +785,7 @@ fn compile_cached_impl(module: &Module, res: &Resolved) -> Arc<NicModule> {
         compiled = true;
         compile_artifact(module, fp, res.cache.as_ref())
     }));
-    if compiled {
-        compile_misses().incr();
-    } else {
-        compile_hits().incr();
-    }
+    count_lookup(!compiled, compile_hits(), compile_misses());
     nic
 }
 
@@ -835,11 +842,7 @@ fn profile_cached_impl(
             profile_artifact(module, &nic, trace, port, cfg, key, res.cache.as_ref())
         })
         .clone();
-    if profiled {
-        profile_misses().incr();
-    } else {
-        profile_hits().incr();
-    }
+    count_lookup(!profiled, profile_hits(), profile_misses());
     wp
 }
 

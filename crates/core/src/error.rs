@@ -2,7 +2,7 @@
 //!
 //! The facade's public entry points ([`crate::Clara::analyze`],
 //! [`crate::Clara::save`]/[`crate::Clara::load`],
-//! [`crate::scaleout::ScaleoutModel::predict`]) never panic on user
+//! [`crate::scaleout::ScaleoutModel::predict_prec`]) never panic on user
 //! input; every user-visible failure funnels into [`ClaraError`], which
 //! the CLI binaries render and map to a nonzero exit code.
 

@@ -32,7 +32,8 @@
 //! let clara = Clara::train(&ClaraConfig::fast(1))?;
 //! let nf = click_model::elements::cmsketch();
 //! let trace = Trace::generate(&WorkloadSpec::large_flows(), 500, 7);
-//! let insights = clara.analyze(&nf.module, &trace)?;
+//! let backend = clara_hal::default_backend();
+//! let insights = clara.analyze(&nf.module, &trace, backend, clara.precision)?;
 //! println!("predicted compute/pkt: {}", insights.predicted_compute);
 //! println!("suggested cores: {}", insights.suggested_cores);
 //! # Ok(())

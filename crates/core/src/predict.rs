@@ -318,12 +318,8 @@ impl InstructionPredictor {
         }
     }
 
-    /// Predicts the NIC compute-instruction count of one block.
-    pub fn predict_block(&self, tokens: &[nf_ir::AbstractToken]) -> f64 {
-        self.predict_block_prec(tokens, Precision::F64)
-    }
-
-    /// [`InstructionPredictor::predict_block`] at an explicit precision.
+    /// Predicts the NIC compute-instruction count of one block at the
+    /// given precision.
     pub fn predict_block_prec(&self, tokens: &[nf_ir::AbstractToken], precision: Precision) -> f64 {
         let reg = self.regressor(precision);
         let pred = if self.uses_sequences() {
@@ -341,21 +337,17 @@ impl InstructionPredictor {
         let truth: Vec<f64> = samples.iter().map(|s| s.compute).collect();
         let preds: Vec<f64> = samples
             .iter()
-            .map(|s| self.predict_block(&s.tokens))
+            .map(|s| self.predict_block_prec(&s.tokens, Precision::F64))
             .collect();
         metrics::wmape(&truth, &preds)
     }
 
-    /// Predicted total compute instructions for a module's handler.
-    pub fn predict_module_compute(&self, module: &Module) -> f64 {
-        self.predict_module_compute_prec(module, Precision::F64)
-    }
-
-    /// [`InstructionPredictor::predict_module_compute`] at an explicit
-    /// precision. Blocks are evaluated through the regressor's batch
-    /// entry point, so the quantized LSTM takes its structure-of-arrays
-    /// path here; at `F64` the default per-item loop keeps results
-    /// bit-identical to summing [`InstructionPredictor::predict_block`].
+    /// Predicted total compute instructions for a module's handler at
+    /// the given precision. Blocks are evaluated through the regressor's
+    /// batch entry point, so the quantized LSTM takes its
+    /// structure-of-arrays path here; at `F64` the default per-item loop
+    /// keeps results bit-identical to summing
+    /// [`InstructionPredictor::predict_block_prec`].
     pub fn predict_module_compute_prec(&self, module: &Module, precision: Precision) -> f64 {
         let prepared = crate::prepare::prepare_module(module);
         let reg = self.regressor(precision);
@@ -438,7 +430,7 @@ mod tests {
         let truth: Vec<f64> = test_s.iter().map(|s| s.compute).collect();
         let preds: Vec<f64> = test_s
             .iter()
-            .map(|s| model.predict_block(&s.tokens))
+            .map(|s| model.predict_block_prec(&s.tokens, Precision::F64))
             .collect();
         let err = metrics::wmape(&truth, &preds);
         let mean = train_s.iter().map(|s| s.compute).sum::<f64>() / train_s.len() as f64;
@@ -466,7 +458,7 @@ mod tests {
                 &truth,
                 &test_s
                     .iter()
-                    .map(|s| m.predict_block(&s.tokens))
+                    .map(|s| m.predict_block_prec(&s.tokens, Precision::F64))
                     .collect::<Vec<_>>(),
             )
         };
@@ -493,7 +485,7 @@ mod tests {
             PredictorKind::AutoMl,
         ] {
             let m = InstructionPredictor::train(kind, &train_s, &cfg);
-            let p = m.predict_block(&train_s[0].tokens);
+            let p = m.predict_block_prec(&train_s[0].tokens, Precision::F64);
             assert!(p.is_finite() && p >= 0.0, "{}: {p}", kind.name());
             let q = m.predict_block_prec(&train_s[0].tokens, Precision::Q16);
             match kind {
@@ -521,7 +513,7 @@ mod tests {
         };
         let model = InstructionPredictor::train(PredictorKind::ClaraLstm, &train_s, &cfg);
         let e = click_model::elements::aggcounter();
-        let predicted = model.predict_module_compute(&e.module);
+        let predicted = model.predict_module_compute_prec(&e.module, Precision::F64);
         let truth = f64::from(nfcc::compile_module(&e.module).handler().total_compute());
         assert!(predicted > 0.0);
         let rel = (predicted - truth).abs() / truth;

@@ -163,7 +163,7 @@ pub fn run(clara: &Clara, cfg: &QuantcheckConfig) -> Result<QuantcheckReport, Cl
         let mut den = 0.0f64; // Σ|f|
         let mut worst: Option<(usize, f64)> = None; // (block idx, excess)
         for (bi, block) in prepared.blocks.iter().enumerate() {
-            let f = clara.predictor.predict_block(&block.tokens);
+            let f = clara.predictor.predict_block_prec(&block.tokens, Precision::F64);
             let q = clara
                 .predictor
                 .predict_block_prec(&block.tokens, Precision::Q16);
@@ -182,7 +182,7 @@ pub fn run(clara: &Clara, cfg: &QuantcheckConfig) -> Result<QuantcheckReport, Cl
         let wp = nic_sim::profile_workload(&e.module, &trace, &naive, &clara.nic, |_| {});
         let cores_f64 = clara
             .scaleout
-            .predict(&wp, &clara.nic, &naive)?
+            .predict_prec(&wp, &clara.nic, &naive, Precision::F64)?
             .min(clara.nic.cores);
         let cores_q16 = clara
             .scaleout
@@ -202,7 +202,7 @@ pub fn run(clara: &Clara, cfg: &QuantcheckConfig) -> Result<QuantcheckReport, Cl
         rows.push(NfQuantRow {
             nf: e.name(),
             blocks: prepared.blocks.len(),
-            compute_f64: clara.predictor.predict_module_compute(&e.module),
+            compute_f64: clara.predictor.predict_module_compute_prec(&e.module, Precision::F64),
             compute_q16: clara
                 .predictor
                 .predict_module_compute_prec(&e.module, Precision::Q16),
@@ -273,7 +273,7 @@ fn describe_violation(
     if let Some((bi, _)) = worst {
         let tokens = &prepared.blocks[bi].tokens;
         let minimized = shrink_tokens(&clara.predictor, tokens, cfg);
-        let f = clara.predictor.predict_block(&minimized);
+        let f = clara.predictor.predict_block_prec(&minimized, Precision::F64);
         let q = clara
             .predictor
             .predict_block_prec(&minimized, Precision::Q16);
@@ -310,7 +310,7 @@ fn shrink_tokens(
     cfg: &QuantcheckConfig,
 ) -> Vec<AbstractToken> {
     let violates = |toks: &[AbstractToken]| {
-        let f = predictor.predict_block(toks);
+        let f = predictor.predict_block_prec(toks, Precision::F64);
         let q = predictor.predict_block_prec(toks, Precision::Q16);
         !within(q, f, cfg)
     };

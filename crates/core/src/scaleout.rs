@@ -231,22 +231,8 @@ impl ScaleoutModel {
         }
     }
 
-    /// Predicts the optimal core count for a profiled workload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClaraError::Prediction`] when the regressor produces a
-    /// non-finite estimate (a corrupt or out-of-domain model).
-    pub fn predict(
-        &self,
-        wp: &WorkloadProfile,
-        cfg: &NicConfig,
-        port: &PortConfig,
-    ) -> Result<u32, ClaraError> {
-        self.predict_prec(wp, cfg, port, Precision::F64)
-    }
-
-    /// [`ScaleoutModel::predict`] at an explicit precision.
+    /// Predicts the optimal core count for a profiled workload at the
+    /// given precision.
     ///
     /// # Errors
     ///
@@ -314,7 +300,7 @@ mod tests {
         let trace = Trace::generate(&WorkloadSpec::large_flows(), 200, 4);
         let wp = nic_sim::profile_workload(&e.module, &trace, &PortConfig::naive(), &cfg, |_| {});
         let c = m
-            .predict(&wp, &cfg, &PortConfig::naive())
+            .predict_prec(&wp, &cfg, &PortConfig::naive(), Precision::F64)
             .expect("finite prediction");
         assert!((1..=cfg.cores).contains(&c), "{c}");
     }

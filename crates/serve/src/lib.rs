@@ -22,7 +22,7 @@
 //!   full the server answers with a typed `overloaded` error immediately
 //!   instead of hanging the client;
 //! - **micro-batching** — adjacent queued `predict` requests coalesce
-//!   into one [`clara_core::Clara::predict_batch`] call, i.e. one engine
+//!   into one [`clara_core::Clara::predict`] call, i.e. one engine
 //!   `par_map` stage instead of N;
 //! - **deadlines** — a per-request budget (reusing
 //!   [`clara_core::EngineOptions::stage_deadline`] for the engine side)

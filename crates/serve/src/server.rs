@@ -23,7 +23,7 @@
 //! `batch_max` jobs, and unused credit carries (bounded) to the next
 //! visit. A visit coalesces runs of adjacent `predict` jobs bound for
 //! the *same device backend at the same precision* into one
-//! [`Clara::predict_batch_on_prec`] call — coalescing never crosses
+//! [`Clara::predict`] call — coalescing never crosses
 //! tenants. Workers are **sharded**: tenant *k* (registration order) is
 //! pinned to shard `k % workers` and worker *i* serves shard
 //! `i % min(workers, tenants)`, so a single tenant's burst occupies its
@@ -314,10 +314,6 @@ mod metric {
 
 struct Shared {
     clara: Arc<Clara>,
-    /// Predictor-weights fingerprint, hashed once at startup: computing
-    /// it per batch costs milliseconds, which would dominate every warm
-    /// sub-millisecond predict this daemon exists to serve.
-    predictor_fp: u64,
     /// Rendered `predict` response bodies (everything after
     /// `"ok":true,`, which does not depend on the request id) by spec +
     /// route. A hit is answered on the connection thread by splicing
@@ -531,10 +527,8 @@ impl Server {
             .collect();
 
         let workers = opts.workers.max(1);
-        let predictor_fp = clara.predictor_fingerprint();
         let shared = Arc::new(Shared {
             clara,
-            predictor_fp,
             predict_cache: Mutex::new(ClockCache::new(PREDICT_CACHE_CAP)),
             corpus,
             backends,
@@ -1418,8 +1412,7 @@ fn run_predict_batch(batch: Vec<Job>, s: &Arc<Shared>) {
     let engine_results = {
         let span = obs::span_under(s.root, "serve-predict-batch");
         let _ctx = obs::attach(span.handle());
-        s.clara
-            .predict_batch_on_prec_cached(&items, backend, precision, s.predictor_fp)
+        s.clara.predict(&items, backend, precision)
     };
     let bodies: Vec<Result<Arc<str>, ClaraError>> = specs
         .iter()
@@ -1465,7 +1458,7 @@ fn run_single(job: Job, s: &Arc<Shared>) {
             let outcome = {
                 let span = obs::span_under(s.root, "serve-analyze");
                 let _ctx = obs::attach(span.handle());
-                s.clara.analyze_on_prec(module, &trace, backend, precision)
+                s.clara.analyze(module, &trace, backend, precision)
             };
             match outcome {
                 Ok(ins) => {

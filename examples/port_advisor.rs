@@ -10,6 +10,7 @@
 //! port.
 
 use clara_repro::clara::{Clara, ClaraConfig};
+use clara_repro::hal;
 use clara_repro::nicsim::{self, PortConfig};
 use clara_repro::trafgen::{Trace, WorkloadSpec};
 
@@ -26,7 +27,7 @@ fn main() {
     );
     for e in clara_repro::click::corpus() {
         let insights = clara
-            .analyze(&e.module, &trace)
+            .analyze(&e.module, &trace, hal::default_backend(), clara.precision)
             .expect("corpus element analyzes cleanly");
         let accel = insights
             .accel

@@ -10,6 +10,7 @@
 //!    naive port on the simulated SmartNIC.
 
 use clara_repro::clara::{Clara, ClaraConfig};
+use clara_repro::hal;
 use clara_repro::nicsim::{self, PortConfig};
 use clara_repro::trafgen::{Trace, WorkloadSpec};
 
@@ -25,7 +26,7 @@ fn main() {
     let spec = WorkloadSpec::large_flows();
     let trace = Trace::generate(&spec, 2000, 42);
     let insights = clara
-        .analyze(&nf.module, &trace)
+        .analyze(&nf.module, &trace, hal::default_backend(), clara.precision)
         .expect("corpus element analyzes cleanly");
 
     println!("\ninsights for `{}`:", nf.name());

@@ -22,7 +22,7 @@
 //! $ clara bench-serve --requests 300   # load-generate against the daemon
 //! ```
 
-use clara_repro::clara::{Clara, ClaraConfig, ClaraError, Precision};
+use clara_repro::clara::{Clara, ClaraConfig, ClaraError, Precision, Prediction};
 use clara_repro::click::NfElement;
 use clara_repro::hal::{self, Backend as _, DeviceBackend};
 use clara_repro::serve;
@@ -348,18 +348,15 @@ fn run() -> Result<(), ClaraError> {
                 return Ok(());
             }
             let backend = match &o.backend {
-                None => None,
-                Some(name) => Some(resolve_backend(name)?),
+                None => hal::default_backend(),
+                Some(name) => resolve_backend(name)?,
             };
             let precision = o.precision.unwrap_or(clara.precision);
-            let insights = match backend {
-                // The no-flag path is the historical one, bit for bit.
-                None => clara.analyze_prec(&e.module, &trace, precision)?,
-                Some(b) => clara.analyze_on_prec(&e.module, &trace, b, precision)?,
-            };
-            match backend {
-                None => println!("== insights for `{}` ==", e.name()),
-                Some(b) => println!("== insights for `{}` on {} ==", e.name(), b.name()),
+            let insights = clara.analyze(&e.module, &trace, backend, precision)?;
+            if o.backend.is_none() {
+                println!("== insights for `{}` ==", e.name());
+            } else {
+                println!("== insights for `{}` on {} ==", e.name(), backend.name());
             }
             println!(
                 "predicted compute instructions/packet: {:.0}",
@@ -391,7 +388,7 @@ fn run() -> Result<(), ClaraError> {
                 println!("pack cluster {i}: {}", names.join(" + "));
             }
             let cores = o.cores.unwrap_or(insights.suggested_cores);
-            let nic = backend.map_or(&clara.nic, |b| b.nic());
+            let nic = backend.nic();
             let naive = nicsim::simulate(&e.module, &trace, &PortConfig::naive(), nic, cores);
             let tuned =
                 nicsim::simulate(&e.module, &trace, &insights.port_config(), nic, cores);
@@ -412,7 +409,10 @@ fn run() -> Result<(), ClaraError> {
                 Some(name) => resolve_backend(name)?,
             };
             let precision = o.precision.unwrap_or(clara.precision);
-            let p = clara.predict_one_on_prec(&e.module, &trace, backend, precision)?;
+            let p = clara
+                .predict(&[(&e.module, &trace)], backend, precision)
+                .pop()
+                .expect("one result per item")?;
             // Same rendering the daemon uses, so one-shot and served
             // predictions are directly comparable (and diffable).
             println!(
@@ -490,9 +490,12 @@ fn write_report(report: &Option<String>) {
 /// device, plus deltas against the default backend — the cross-device
 /// offloading comparison in table form.
 fn analyze_all_backends(clara: &Clara, e: &NfElement, trace: &Trace) -> Result<(), ClaraError> {
-    let rows: Vec<(&DeviceBackend, clara_repro::clara::Prediction)> = hal::builtins()
+    let rows: Vec<(&DeviceBackend, Prediction)> = hal::builtins()
         .iter()
-        .map(|b| clara.predict_one_on(&e.module, trace, b).map(|p| (b, p)))
+        .map(|b| {
+            let mut one = clara.predict(&[(&e.module, trace)], b, clara.precision);
+            one.pop().expect("one result per item").map(|p| (b, p))
+        })
         .collect::<Result<_, _>>()?;
     println!("== cross-backend predictions for `{}` ==", e.name());
     println!(

@@ -9,11 +9,9 @@
 //!   `tests/golden/backend_matrix.txt`. A change to any manifest, to the
 //!   performance model, or to the HAL plumbing shows up as a readable
 //!   diff instead of a silent drift.
-//! - `default_backend_report_is_byte_identical_to_legacy` proves the
-//!   ISSUE's compatibility clause: analyzing on the default `agilio-cx`
-//!   backend produces a deterministic telemetry report byte-identical to
-//!   the legacy pre-HAL path, and pins that report's fingerprint in
-//!   `tests/golden/backend_report_fp.txt`.
+//! - `default_backend_report_matches_golden` analyzes on the default
+//!   `agilio-cx` backend and pins the fingerprint of the deterministic
+//!   telemetry report in `tests/golden/backend_report_fp.txt`.
 //!
 //! Regenerate after an *intentional* change with:
 //!
@@ -22,17 +20,23 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use clara_repro::clara::{engine, Clara, ClaraConfig};
 use clara_repro::hal::{self, Backend as _};
 use clara_repro::trafgen::{Trace, WorkloadSpec};
 
-/// Both tests drive the process-global engine and telemetry registry;
+/// The tests drive the process-global engine and telemetry registry;
 /// they must not interleave.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
-/// One trained pipeline shared by both tests (training dominates
+/// Takes [`OBS_LOCK`] even when a failed test poisoned it, so one
+/// failure stays one failure.
+fn obs_lock() -> MutexGuard<'static, ()> {
+    OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One trained pipeline shared by the tests (training dominates
 /// runtime; predictions are cheap).
 fn clara() -> &'static Clara {
     static CLARA: OnceLock<Clara> = OnceLock::new();
@@ -60,7 +64,7 @@ fn check_golden(name: &str, got: &str) {
 
 #[test]
 fn cross_device_matrix_matches_golden() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     let clara = clara();
     let mut out = String::from(
         "# backend matrix golden: <element> <backend> cores=<suggested> \
@@ -70,7 +74,9 @@ fn cross_device_matrix_matches_golden() {
         let trace = Trace::generate(&WorkloadSpec::imix(), 60, 7);
         for b in hal::builtins() {
             let p = clara
-                .predict_one_on(&e.module, &trace, b)
+                .predict(&[(&e.module, &trace)], b, clara.precision)
+                .pop()
+                .expect("one result per item")
                 .expect("prediction succeeds");
             writeln!(
                 out,
@@ -99,7 +105,9 @@ fn cross_device_matrix_matches_golden() {
             .expect("known corpus element");
         let trace = Trace::generate(&WorkloadSpec::imix(), 60, 7);
         for b in hal::builtins() {
-            let insights = clara.analyze_on(&e.module, &trace, b).expect("analyze succeeds");
+            let insights = clara
+                .analyze(&e.module, &trace, b, clara.precision)
+                .expect("analyze succeeds");
             let port = insights.port_config();
             let wp =
                 clara_repro::nicsim::profile_workload(&e.module, &trace, &port, b.nic(), |_| {});
@@ -118,7 +126,7 @@ fn cross_device_matrix_matches_golden() {
 /// prediction rows (see `cross_device_matrix_matches_golden`).
 #[test]
 fn dpu_crc_variant_delta_is_attributable_to_the_catalog() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     let clara = clara();
     let trace = Trace::generate(&WorkloadSpec::imix(), 60, 7);
     let e = clara_repro::click::corpus()
@@ -126,7 +134,7 @@ fn dpu_crc_variant_delta_is_attributable_to_the_catalog() {
         .find(|e| e.name() == "wepdecap")
         .expect("known corpus element");
     let dpu = hal::builtin("dpu-offpath").expect("shipped");
-    let insights = clara.analyze_on(&e.module, &trace, dpu).expect("analyze");
+    let insights = clara.analyze(&e.module, &trace, dpu, clara.precision).expect("analyze");
     let (class, _) = insights.accel.clone().expect("wepdecap has a CRC region");
     assert_eq!(class.name(), "crc");
     let port = insights.port_config();
@@ -165,43 +173,30 @@ fn dpu_crc_variant_delta_is_attributable_to_the_catalog() {
 }
 
 #[test]
-fn default_backend_report_is_byte_identical_to_legacy() {
-    let _g = OBS_LOCK.lock().unwrap();
+fn default_backend_report_matches_golden() {
+    let _g = obs_lock();
     let clara = clara();
     let e = clara_repro::click::corpus()
         .into_iter()
         .find(|e| e.name() == "cmsketch")
         .expect("known corpus element");
     let trace = Trace::generate(&WorkloadSpec::imix(), 60, 7);
-    // Capture a full deterministic telemetry report for one analysis.
-    // Caches are cleared before each capture so both runs do identical
-    // cold work and their counters agree.
-    let capture = |run: &dyn Fn()| {
-        engine::Engine::new().clear_caches();
-        clara_repro::obs::enable();
-        clara_repro::obs::reset();
-        run();
-        let json = clara_repro::obs::RunReport::capture().to_json_deterministic();
-        clara_repro::obs::disable();
-        json
-    };
-    let legacy = capture(&|| {
-        clara.analyze(&e.module, &trace).expect("legacy analyze");
-    });
-    let default_backend = hal::default_backend();
-    assert_eq!(default_backend.name(), hal::DEFAULT_BACKEND);
-    let on_default = capture(&|| {
-        clara
-            .analyze_on(&e.module, &trace, default_backend)
-            .expect("analyze on default backend");
-    });
-    assert!(legacy.contains("clara-analyze"), "{legacy}");
-    assert_eq!(
-        legacy, on_default,
-        "analyze_on(default) must be byte-identical to the legacy path"
-    );
+    let backend = hal::default_backend();
+    assert_eq!(backend.name(), hal::DEFAULT_BACKEND);
+    // Capture a full deterministic telemetry report for one cold
+    // analysis: caches are cleared first so the counters reflect the
+    // whole analysis, not what earlier tests left warm.
+    engine::Engine::new().clear_caches();
+    clara_repro::obs::enable();
+    clara_repro::obs::reset();
+    clara
+        .analyze(&e.module, &trace, backend, clara.precision)
+        .expect("analyze on default backend");
+    let report = clara_repro::obs::RunReport::capture().to_json_deterministic();
+    clara_repro::obs::disable();
+    assert!(report.contains("clara-analyze"), "{report}");
     // Pin the deterministic report shape itself, so a change to the span
     // tree or the work-derived counters is an explicit golden update.
-    let fp = format!("{:016x}\n", engine::value_fingerprint(&legacy));
+    let fp = format!("{:016x}\n", engine::value_fingerprint(&report));
     check_golden("backend_report_fp.txt", &fp);
 }

@@ -7,6 +7,7 @@ use std::sync::Mutex;
 
 use clara_repro::clara::engine::{self, EngineOptions, FaultKind, FaultPlan};
 use clara_repro::clara::{Clara, ClaraConfig, ClaraError};
+use clara_repro::hal;
 use clara_repro::trafgen::{Trace, WorkloadSpec};
 
 /// Engine configuration is a process global; tests in this binary
@@ -74,7 +75,9 @@ fn within_budget_faults_still_produce_a_pipeline() {
         .find(|e| e.name() == "aggcounter")
         .expect("known element")
         .module;
-    let insights = clara.analyze(&module, &trace).expect("analysis succeeds");
+    let insights = clara
+        .analyze(&module, &trace, hal::default_backend(), clara.precision)
+        .expect("analysis succeeds");
     assert!(insights.suggested_cores >= 1);
 }
 
@@ -102,7 +105,7 @@ fn analyze_profile_fault_surfaces_as_degraded() {
         .find(|e| e.name() == "cmsketch")
         .expect("known element")
         .module;
-    let result = clara.analyze(&module, &trace);
+    let result = clara.analyze(&module, &trace, hal::default_backend(), clara.precision);
     engine::configure(&EngineOptions::default());
     match result {
         Err(ClaraError::Degraded { failed: 1, total: 1 }) => {}

@@ -11,7 +11,7 @@ use std::sync::Mutex;
 use clara_repro::clara::{engine, Clara, ClaraConfig, ClaraError, MODEL_FORMAT_VERSION};
 use clara_repro::ir::Module;
 use clara_repro::nicsim::{NicConfig, PortConfig};
-use clara_repro::obs;
+use clara_repro::{hal, obs};
 use clara_repro::trafgen::{Trace, WorkloadSpec};
 
 /// Serializes tests in this binary: obs state and the engine caches are
@@ -161,8 +161,9 @@ fn train_report_sink_and_versioned_persistence() {
     let loaded = Clara::load(&model_path).expect("model loads");
     let trace = Trace::generate(&WorkloadSpec::large_flows(), 80, 3);
     let module = corpus_module("aggcounter");
-    let a = clara.analyze(&module, &trace).expect("analysis succeeds");
-    let b = loaded.analyze(&module, &trace).expect("analysis succeeds");
+    let backend = hal::default_backend();
+    let a = clara.analyze(&module, &trace, backend, clara.precision).expect("analysis succeeds");
+    let b = loaded.analyze(&module, &trace, backend, loaded.precision).expect("analysis succeeds");
     assert_eq!(a.suggested_cores, b.suggested_cores);
 
     // A future format version is rejected, not misread.

@@ -1,7 +1,8 @@
 //! End-to-end integration: the trained Clara pipeline produces insights
 //! whose port configurations actually pay off on the simulated NIC.
 
-use clara_repro::clara::{Clara, ClaraConfig};
+use clara_repro::clara::{Clara, ClaraConfig, Precision};
+use clara_repro::hal;
 use clara_repro::nicsim::{self, PortConfig};
 use clara_repro::trafgen::{Trace, WorkloadSpec};
 
@@ -18,7 +19,9 @@ fn clara_port_beats_naive_port_on_accelerator_elements() {
             .into_iter()
             .find(|e| e.name() == name)
             .expect("known");
-        let insights = clara.analyze(&e.module, &trace).expect("analysis succeeds");
+        let insights = clara
+            .analyze(&e.module, &trace, hal::default_backend(), clara.precision)
+            .expect("analysis succeeds");
         let cores = insights.suggested_cores;
         let naive = nicsim::simulate(&e.module, &trace, &PortConfig::naive(), &clara.nic, cores);
         let tuned = nicsim::simulate(
@@ -48,7 +51,9 @@ fn insights_are_internally_consistent() {
     let clara = trained();
     let trace = Trace::generate(&WorkloadSpec::small_flows().with_flows(1024), 800, 2);
     for e in clara_repro::click::corpus() {
-        let insights = clara.analyze(&e.module, &trace).expect("analysis succeeds");
+        let insights = clara
+            .analyze(&e.module, &trace, hal::default_backend(), clara.precision)
+            .expect("analysis succeeds");
         // Core suggestions in range.
         assert!(
             (1..=clara.nic.cores).contains(&insights.suggested_cores),
@@ -85,7 +90,7 @@ fn prediction_correlates_with_ground_truth_across_corpus() {
     let mut pred = Vec::new();
     let mut truth = Vec::new();
     for e in clara_repro::click::corpus() {
-        pred.push(clara.predictor.predict_module_compute(&e.module));
+        pred.push(clara.predictor.predict_module_compute_prec(&e.module, Precision::F64));
         truth.push(f64::from(
             clara_repro::nfcc::compile_module(&e.module)
                 .handler()

@@ -111,7 +111,7 @@ fn model_envelope_versions_round_trip() {
     clara.save(&v2_path).expect("save v2 model");
 
     let module = clara_repro::click::elements::cmsketch().module;
-    let expect_f64 = clara.predictor.predict_module_compute(&module);
+    let expect_f64 = clara.predictor.predict_module_compute_prec(&module, Precision::F64);
     let expect_q16 = clara
         .predictor
         .predict_module_compute_prec(&module, Precision::Q16);
@@ -119,7 +119,7 @@ fn model_envelope_versions_round_trip() {
     let loaded = Clara::load(&v2_path).expect("v2 model loads");
     assert_eq!(loaded.precision, Precision::F64);
     assert_eq!(
-        loaded.predictor.predict_module_compute(&module).to_bits(),
+        loaded.predictor.predict_module_compute_prec(&module, Precision::F64).to_bits(),
         expect_f64.to_bits(),
         "f64 path must round-trip bit-identically"
     );
@@ -164,7 +164,7 @@ fn model_envelope_versions_round_trip() {
         "loading must rebuild the quantized twins a v1 file lacks"
     );
     assert_eq!(
-        legacy.predictor.predict_module_compute(&module).to_bits(),
+        legacy.predictor.predict_module_compute_prec(&module, Precision::F64).to_bits(),
         expect_f64.to_bits(),
         "v1 f64 predictions are unchanged"
     );
@@ -210,7 +210,7 @@ proptest! {
         let m = nf_synth::synth_corpus(1, true, seed).remove(0);
         let predictor = &clara().predictor;
         for block in &prepare_module(&m).blocks {
-            let f = predictor.predict_block(&block.tokens);
+            let f = predictor.predict_block_prec(&block.tokens, Precision::F64);
             let q = predictor.predict_block_prec(&block.tokens, Precision::Q16);
             let bound = quantcheck::QUANT_ABS_TOLERANCE
                 .max(quantcheck::QUANT_REL_TOLERANCE * f.abs());

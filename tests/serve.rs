@@ -19,7 +19,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier, Mutex, OnceLock};
 
-use clara_repro::clara::{Clara, ClaraConfig, Precision};
+use clara_repro::clara::{Clara, ClaraConfig, Precision, Prediction};
 use clara_repro::hal::Backend as _;
 use clara_repro::serve::protocol::{self, RegisterSpec, Request, WorkSpec};
 use clara_repro::serve::server::ServerHandle;
@@ -139,6 +139,21 @@ fn predict_req(id: u64, nf: &str, packets: usize, seed: u64) -> (String, WorkSpe
     )
 }
 
+/// One prediction through the facade, for comparing against a served one.
+fn facade_predict(
+    clara: &Clara,
+    module: &clara_repro::ir::Module,
+    trace: &clara_repro::trafgen::Trace,
+    backend: &dyn clara_repro::hal::Backend,
+    precision: Precision,
+) -> Prediction {
+    clara
+        .predict(&[(module, trace)], backend, precision)
+        .pop()
+        .expect("one result per item")
+        .expect("facade predict")
+}
+
 fn stat_u64(resp: &str, key: &str) -> u64 {
     let v = serde_json::parse_value(resp).expect("stats response parses");
     match v.get(key) {
@@ -185,20 +200,22 @@ fn concurrent_requests_match_one_shot_facade() {
                 precision: None,
             };
             let trace = w.trace();
-            let default = clara_repro::hal::DEFAULT_BACKEND;
+            let default = clara_repro::hal::default_backend();
             if analyze {
-                let ins = clara.analyze(&module, &trace).expect("facade analyze");
+                let ins = clara
+                    .analyze(&module, &trace, default, Precision::F64)
+                    .expect("facade analyze");
                 protocol::analyze_response(
                     Some(i as u64),
                     nf,
-                    default,
+                    default.name(),
                     Precision::F64,
                     &module,
                     &ins,
                 )
             } else {
-                let p = clara.predict_one(&module, &trace).expect("facade predict");
-                protocol::predict_response(Some(i as u64), nf, default, Precision::F64, &p)
+                let p = facade_predict(&clara, &module, &trace, default, Precision::F64);
+                protocol::predict_response(Some(i as u64), nf, default.name(), Precision::F64, &p)
             }
         })
         .collect();
@@ -387,12 +404,8 @@ fn per_request_backend_routing() {
     let trace = mk(None).trace();
     let agilio = clara_repro::hal::builtin("agilio-cx").expect("shipped");
     let dpu = clara_repro::hal::builtin("dpu-offpath").expect("shipped");
-    let p_agilio = clara
-        .predict_one_on(&module, &trace, agilio)
-        .expect("facade predict on agilio");
-    let p_dpu = clara
-        .predict_one_on(&module, &trace, dpu)
-        .expect("facade predict on dpu");
+    let p_agilio = facade_predict(&clara, &module, &trace, agilio, Precision::F64);
+    let p_dpu = facade_predict(&clara, &module, &trace, dpu, Precision::F64);
     // The devices must actually disagree (different clock and memory),
     // otherwise this test could pass with routing broken.
     assert_ne!(
@@ -510,12 +523,8 @@ fn per_request_precision_routing() {
     };
     let trace = mk(None).trace();
     let default = clara_repro::hal::default_backend();
-    let p_f64 = clara
-        .predict_one_on_prec(&module, &trace, default, Precision::F64)
-        .expect("facade predict at f64");
-    let p_q16 = clara
-        .predict_one_on_prec(&module, &trace, default, Precision::Q16)
-        .expect("facade predict at q16");
+    let p_f64 = facade_predict(&clara, &module, &trace, default, Precision::F64);
+    let p_q16 = facade_predict(&clara, &module, &trace, default, Precision::Q16);
 
     let expected_for = |id: u64, precision: Option<Precision>| match precision {
         None | Some(Precision::F64) => protocol::predict_response(
@@ -799,9 +808,13 @@ fn registered_tenants_are_scoped_and_stats_pin_key_order() {
         "cmsketch",
         clara_repro::hal::DEFAULT_BACKEND,
         Precision::F64,
-        &clara
-            .predict_one(&module_of("cmsketch"), &w.trace())
-            .expect("facade predict"),
+        &facade_predict(
+            &clara,
+            &module_of("cmsketch"),
+            &w.trace(),
+            clara_repro::hal::default_backend(),
+            Precision::F64,
+        ),
     );
     let resp = conn.send(&protocol::render_request_as(
         Some(3),
