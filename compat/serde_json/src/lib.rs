@@ -55,6 +55,7 @@ pub fn parse_value(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -178,9 +179,17 @@ fn render_str(s: &str, out: &mut String) {
 
 // ---- parsing -----------------------------------------------------------
 
+/// Deepest array/object nesting [`parse_value`] accepts. The parser
+/// recurses once per level, so without a bound a document of nothing
+/// but `[` overflows the stack; no document this workspace writes comes
+/// near it.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -219,8 +228,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.map(),
+            Some(b'[') => self.nested(Self::seq),
+            Some(b'{') => self.nested(Self::map),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(Error(format!(
                 "unexpected {:?} at byte {}",
@@ -228,6 +237,21 @@ impl<'a> Parser<'a> {
                 self.pos
             ))),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, Error> {
@@ -445,6 +469,20 @@ mod tests {
         let json = to_string(&opt).unwrap();
         let back: Vec<Option<Option<u8>>> = from_str(&json).unwrap();
         assert_eq!(back, opt);
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_a_typed_error() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_value(&ok).is_ok(), "exactly MAX_DEPTH levels parse");
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse_value(&deep).expect_err("one level too deep");
+        assert!(err.0.contains("nesting"), "{}", err.0);
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        let err = parse_value(&objects).expect_err("objects nest too");
+        assert!(err.0.contains("nesting"), "{}", err.0);
+        // A megabyte of `[` is refused, not a stack overflow.
+        assert!(parse_value(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]

@@ -582,20 +582,10 @@ where
     out.results.into_iter().map(|r| r.expect("complete")).collect()
 }
 
-/// Times a serial stage under a label in [`EngineStats`], with a span.
-/// No fault machinery: the closure runs exactly once on this thread.
-pub fn time_stage<R>(stage: &'static str, f: impl FnOnce() -> R) -> R {
-    let _span = obs::span(stage);
-    let started = Instant::now();
-    let r = f();
-    let wall = started.elapsed();
-    record_stage(stage, 1, wall, wall);
-    r
-}
-
-/// Fault-tolerant [`time_stage`]: runs `f` as a single protected task
-/// (panic isolation, injection, retries, deadline). Requires `Fn`
-/// because a faulted attempt reruns the closure.
+/// Times a serial stage under a label in [`EngineStats`], with a span,
+/// running `f` as a single protected task (panic isolation, injection,
+/// retries, deadline). Requires `Fn` because a faulted attempt reruns
+/// the closure.
 ///
 /// # Errors
 ///

@@ -10,10 +10,10 @@
 //!   cache-served state, per-packet kernel-bypass IO overhead;
 //! - a **PCIe crossing model**: per-packet DMA latency plus a bandwidth
 //!   ceiling, paid once when the packet moves from NIC to host;
-//! - [`suggest_split`]: evaluates every prefix split (stages `0..k` on
-//!   the NIC, `k..n` on the host) and reports throughput, latency, and —
-//!   the quantity the paper's introduction optimizes — **host CPU cores
-//!   freed** for revenue work.
+//! - [`crate::placement::plan::suggest_split`]: evaluates every prefix
+//!   split (stages `0..k` on the NIC, `k..n` on the host) and reports
+//!   throughput, latency, and — the quantity the paper's introduction
+//!   optimizes — **host CPU cores freed** for revenue work.
 
 use nic_sim::{solve_perf, NicConfig, PortConfig, WorkloadProfile};
 use serde::{Deserialize, Serialize};
@@ -93,27 +93,7 @@ pub struct SplitPlan {
     pub host_cores_needed: u32,
 }
 
-/// Evaluates every prefix split of a chain and returns one plan per
-/// split point (`0..=n` NIC stages), ordered by split point.
-///
-/// # Panics
-///
-/// Panics if inputs mismatch or the chain fails to run (element bugs).
-#[deprecated(note = "use clara_core::placement::plan::suggest_split instead")]
-pub fn suggest_split(
-    modules: &[&nf_ir::Module],
-    trace: &Trace,
-    ports: &[&PortConfig],
-    nic_cfg: &NicConfig,
-    nic_cores: u32,
-    host: &HostConfig,
-    setup: impl FnOnce(&mut click_model::Chain),
-) -> Vec<SplitPlan> {
-    split_plans(modules, trace, ports, nic_cfg, nic_cores, host, setup)
-}
-
-/// The split evaluator behind [`crate::placement::plan::suggest_split`]
-/// (and the deprecated [`suggest_split`] shim above).
+/// The split evaluator behind [`crate::placement::plan::suggest_split`].
 pub(crate) fn split_plans(
     modules: &[&nf_ir::Module],
     trace: &Trace,

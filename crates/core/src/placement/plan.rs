@@ -552,8 +552,7 @@ pub fn greedy_placement(
         .map(|g| to_placement(module, &g.assignment))
 }
 
-/// Clara's ILP-based placement suggestion (the canonical home of the
-/// former `placement::suggest_placement`). Returns `None` when the
+/// Clara's ILP-based placement suggestion. Returns `None` when the
 /// instance is infeasible.
 pub fn suggest_placement(
     module: &Module,
@@ -565,8 +564,7 @@ pub fn suggest_placement(
         .map(|s| s.placement)
 }
 
-/// Evaluates every prefix split of a chain (the canonical home of the
-/// former [`crate::partial::suggest_split`]); see [`crate::partial`] for
+/// Evaluates every prefix split of a chain; see [`crate::partial`] for
 /// the host and PCIe models.
 ///
 /// # Panics

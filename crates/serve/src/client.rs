@@ -25,7 +25,7 @@
 //!   `BENCH_serve_tenants.json`, optionally enforcing that the UDS
 //!   transport out-serves TCP (`--require-uds-win`).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -37,7 +37,7 @@ use clara_obs as obs;
 use serde::Value;
 
 use crate::protocol::{self, RegisterSpec, Request, WorkSpec};
-use crate::transport::{self, Transport};
+use crate::transport::Transport;
 
 /// What to throw at the server.
 #[derive(Debug, Clone, PartialEq)]
@@ -242,116 +242,85 @@ fn serve_err(detail: String) -> ClaraError {
 
 // ---- connections -------------------------------------------------------
 
-/// One bench connection: TCP JSON-lines or UDS length-prefixed frames,
-/// same protocol bytes either way.
-enum BenchConn {
-    Tcp {
-        stream: TcpStream,
-        reader: BufReader<TcpStream>,
-    },
-    #[cfg(unix)]
-    Uds {
-        stream: UnixStream,
-        read_buf: Vec<u8>,
-        write_buf: Vec<u8>,
-    },
+/// One bench connection: the same protocol bytes over either transport,
+/// framed by [`Transport::read`] and [`Transport::write`].
+struct BenchConn {
+    transport: Transport,
+    reader: BufReader<Box<dyn Read + Send>>,
+    writer: Box<dyn Write + Send>,
+    read_buf: Vec<u8>,
+    write_buf: Vec<u8>,
 }
 
 impl BenchConn {
-    /// Connects with retries (the daemon may still be starting up).
-    fn connect(transport: Transport, addr: &str, uds_path: Option<&str>) -> Result<BenchConn, ClaraError> {
+    /// Connects to `o`'s daemon with retries (it may still be starting
+    /// up).
+    fn connect(o: &BenchOptions, transport: Transport) -> Result<BenchConn, ClaraError> {
+        let target = match transport {
+            Transport::Tcp => o.addr.as_str(),
+            Transport::Uds => o.uds_path.as_deref().ok_or_else(|| {
+                serve_err("the uds transport needs --uds <path>".to_string())
+            })?,
+        };
         let deadline = Instant::now() + Duration::from_secs(10);
-        match transport {
-            Transport::Tcp => loop {
-                match TcpStream::connect(addr) {
-                    Ok(s) => {
-                        s.set_read_timeout(Some(Duration::from_secs(120)))
-                            .map_err(|e| serve_err(format!("cannot set read timeout: {e}")))?;
-                        // Small request frames; Nagle would stall them
-                        // behind delayed ACKs.
-                        let _ = s.set_nodelay(true);
-                        let reader = BufReader::new(
-                            s.try_clone()
-                                .map_err(|e| serve_err(format!("cannot clone stream: {e}")))?,
-                        );
-                        return Ok(BenchConn::Tcp { stream: s, reader });
-                    }
-                    Err(e) if Instant::now() < deadline => {
-                        let _ = e;
-                        std::thread::sleep(Duration::from_millis(100));
-                    }
-                    Err(e) => return Err(serve_err(format!("cannot connect to {addr}: {e}"))),
+        loop {
+            match dial(transport, target) {
+                Ok((reader, writer)) => {
+                    return Ok(BenchConn {
+                        transport,
+                        reader: BufReader::new(reader),
+                        writer,
+                        read_buf: Vec::with_capacity(4096),
+                        write_buf: Vec::with_capacity(4096),
+                    })
                 }
-            },
-            #[cfg(unix)]
-            Transport::Uds => {
-                let path = uds_path.ok_or_else(|| {
-                    serve_err("the uds transport needs --uds <path>".to_string())
-                })?;
-                loop {
-                    match UnixStream::connect(path) {
-                        Ok(s) => {
-                            s.set_read_timeout(Some(Duration::from_secs(120)))
-                                .map_err(|e| serve_err(format!("cannot set read timeout: {e}")))?;
-                            return Ok(BenchConn::Uds {
-                                stream: s,
-                                read_buf: Vec::with_capacity(4096),
-                                write_buf: Vec::with_capacity(4096),
-                            });
-                        }
-                        Err(e) if Instant::now() < deadline => {
-                            let _ = e;
-                            std::thread::sleep(Duration::from_millis(100));
-                        }
-                        Err(e) => {
-                            return Err(serve_err(format!("cannot connect to {path}: {e}")))
-                        }
-                    }
+                Err(_) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(100));
                 }
-            }
-            #[cfg(not(unix))]
-            Transport::Uds => {
-                let _ = uds_path;
-                Err(serve_err(
-                    "unix-domain sockets are not available on this platform".to_string(),
-                ))
+                Err(e) => return Err(serve_err(format!("cannot connect to {target}: {e}"))),
             }
         }
     }
 
     /// One request/response round trip.
     fn round_trip(&mut self, line: &str) -> Result<String, String> {
-        match self {
-            BenchConn::Tcp { stream, reader } => {
-                let mut framed = String::with_capacity(line.len() + 1);
-                framed.push_str(line);
-                framed.push('\n');
-                stream
-                    .write_all(framed.as_bytes())
-                    .and_then(|()| stream.flush())
-                    .map_err(|e| format!("write failed: {e}"))?;
-                let mut resp = String::new();
-                match reader.read_line(&mut resp) {
-                    Ok(0) => Err("server closed the connection".to_string()),
-                    Ok(_) => Ok(resp.trim_end().to_string()),
-                    Err(e) => Err(format!("read failed: {e}")),
-                }
-            }
-            #[cfg(unix)]
-            BenchConn::Uds {
-                stream,
-                read_buf,
-                write_buf,
-            } => {
-                transport::write_frame(stream, write_buf, line)
-                    .map_err(|e| format!("write failed: {e}"))?;
-                match transport::read_frame(stream, read_buf) {
-                    Ok(Some(resp)) => Ok(resp),
-                    Ok(None) => Err("server closed the connection".to_string()),
-                    Err(e) => Err(format!("read failed: {e}")),
-                }
-            }
+        self.transport
+            .write(&mut self.writer, &mut self.write_buf, line)
+            .map_err(|e| format!("write failed: {e}"))?;
+        match self.transport.read(&mut self.reader, &mut self.read_buf) {
+            Ok(Some(resp)) => Ok(resp.to_string()),
+            Ok(None) => Err("server closed the connection".to_string()),
+            Err(e) => Err(format!("read failed: {e}")),
         }
+    }
+}
+
+/// Opens one stream to `target` with a read timeout and splits it into
+/// its read and write halves.
+fn dial(
+    transport: Transport,
+    target: &str,
+) -> io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> {
+    let timeout = Some(Duration::from_secs(120));
+    match transport {
+        Transport::Tcp => {
+            let s = TcpStream::connect(target)?;
+            s.set_read_timeout(timeout)?;
+            // Small request frames would stall behind delayed ACKs.
+            s.set_nodelay(true)?;
+            Ok((Box::new(s.try_clone()?), Box::new(s)))
+        }
+        #[cfg(unix)]
+        Transport::Uds => {
+            let s = UnixStream::connect(target)?;
+            s.set_read_timeout(timeout)?;
+            Ok((Box::new(s.try_clone()?), Box::new(s)))
+        }
+        #[cfg(not(unix))]
+        Transport::Uds => Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "unix-domain sockets are not available on this platform",
+        )),
     }
 }
 
@@ -503,8 +472,7 @@ fn steady_state(o: &BenchOptions, slice: &Slice<'_>) -> Result<(Tally, f64), Cla
                     if count == 0 {
                         return Ok(tally);
                     }
-                    let mut conn =
-                        BenchConn::connect(slice.transport, &o.addr, o.uds_path.as_deref())?;
+                    let mut conn = BenchConn::connect(o, slice.transport)?;
                     for i in 0..count {
                         let id = (c * slice.requests + i) as u64;
                         let (op, req) = if slice.place_every > 0
@@ -566,9 +534,8 @@ fn burst_phase(o: &BenchOptions, tenant: Option<&str>) -> Tally {
                     let mut tally = Tally::default();
                     let t0 = Instant::now();
                     let outcome = (|| -> Result<Outcome, String> {
-                        let mut conn =
-                            BenchConn::connect(o.transport, &o.addr, o.uds_path.as_deref())
-                                .map_err(|e| format!("burst connect: {e}"))?;
+                        let mut conn = BenchConn::connect(o, o.transport)
+                            .map_err(|e| format!("burst connect: {e}"))?;
                         let line = protocol::render_request_as(
                             Some(1_000_000 + i as u64),
                             tenant,
@@ -639,7 +606,7 @@ fn baseline_phase(o: &BenchOptions) -> Result<f64, ClaraError> {
 }
 
 fn drain_phase(o: &BenchOptions) -> Result<(), ClaraError> {
-    let mut conn = BenchConn::connect(o.transport, &o.addr, o.uds_path.as_deref())?;
+    let mut conn = BenchConn::connect(o, o.transport)?;
     let line = protocol::render_request(None, &Request::Drain);
     let resp = conn.round_trip(&line).map_err(serve_err)?;
     match classify(&resp) {
@@ -654,7 +621,7 @@ fn register_tenant(
     name: &str,
     quota: Option<u64>,
 ) -> Result<(), ClaraError> {
-    let mut conn = BenchConn::connect(o.transport, &o.addr, o.uds_path.as_deref())?;
+    let mut conn = BenchConn::connect(o, o.transport)?;
     let line = protocol::render_request_as(
         None,
         Some(name),

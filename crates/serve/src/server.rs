@@ -1,13 +1,16 @@
 //! The daemon: TCP + UDS acceptors, per-tenant work queues, sharded
 //! worker pool.
 //!
-//! Life of a request: a connection thread parses the line (or frame —
-//! see [`crate::transport`]), resolves the tenant it runs as, and — for
-//! work ops — asks for admission. Admission is decided **under the
-//! queue lock** in one linearized step: draining servers answer
-//! `draining`, a full shared queue answers `overloaded`, and a tenant
-//! that filled its own quota answers `quota_exceeded` while everyone
-//! else keeps being admitted.
+//! Both listeners share one acceptor loop and one connection loop over
+//! [`crate::transport`]'s bounded codec; a message the codec refuses gets
+//! one typed `bad_request`, then the connection closes.
+//!
+//! Life of a request: a connection thread parses the message, resolves
+//! the tenant it runs as, and — for work ops — asks for admission.
+//! Admission is decided **under the queue lock** in one linearized
+//! step: draining servers answer `draining`, a full shared queue
+//! answers `overloaded`, and a tenant that filled its own quota answers
+//! `quota_exceeded` while everyone else keeps being admitted.
 //!
 //! A `predict` whose answer is already in the serve-level prediction
 //! cache is answered **inline on the connection thread**: it passes that
@@ -49,10 +52,10 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::Hash;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -69,7 +72,7 @@ use serde::Value;
 
 use crate::protocol::{self, Envelope, ErrorKind, RegisterSpec, Request, WorkSpec};
 use crate::tenant::{Registry, Tenant};
-use crate::transport;
+use crate::transport::Transport;
 
 /// How the daemon is sized. Plain struct: every field has a sensible
 /// default, override what you need.
@@ -441,6 +444,14 @@ impl Shared {
         self.cv.notify_all();
     }
 
+    /// Drains, waits for quiescence, then stops the acceptors.
+    /// Idempotent: both acceptors may run it on SIGTERM.
+    fn stop(&self) {
+        self.begin_drain();
+        self.await_quiesce();
+        self.stopped.store(true, Ordering::SeqCst);
+    }
+
     /// Blocks until the queue is empty and nothing is in flight.
     fn await_quiesce(&self) {
         loop {
@@ -567,12 +578,25 @@ impl Server {
         }
         let s = Arc::clone(&shared);
         let name = "clara-serve-accept".to_string();
-        spawn_or_abandon(&mut started, &undo, name, move || accept_loop(&listener, &s))?;
+        let accept = move || {
+            let (stream, _) = listener.accept()?;
+            // One write per response and no Nagle buffering: a
+            // request/response protocol of small messages would
+            // otherwise serialize on ~40ms delayed-ACK stalls.
+            let _ = stream.set_nodelay(true);
+            Ok(stream)
+        };
+        spawn_or_abandon(&mut started, &undo, name, move || {
+            accept_loop(Transport::Tcp, accept, &s)
+        })?;
         #[cfg(unix)]
         if let Some(l) = uds_listener {
             let s = Arc::clone(&shared);
             let name = "clara-serve-accept-uds".to_string();
-            spawn_or_abandon(&mut started, &undo, name, move || uds_accept_loop(&l, &s))?;
+            let accept = move || l.accept().map(|(stream, _)| stream);
+            spawn_or_abandon(&mut started, &undo, name, move || {
+                accept_loop(Transport::Uds, accept, &s)
+            })?;
         }
         let acceptors = started.split_off(workers);
         let workers = started;
@@ -636,20 +660,6 @@ fn spawn_or_abandon(
     }
 }
 
-/// Spawns a detached connection thread. When the OS refuses, the
-/// stream — moved into `serve`, which the failed spawn drops — closes:
-/// that one client loses its connection, `serve.conn.spawn_failed`
-/// counts it, and the acceptor keeps serving everyone else.
-fn spawn_conn(name: &str, serve: impl FnOnce() + Send + 'static) {
-    if std::thread::Builder::new()
-        .name(name.to_string())
-        .spawn(serve)
-        .is_err()
-    {
-        obs::volatile_counter("serve.conn.spawn_failed").incr();
-    }
-}
-
 #[cfg(unix)]
 fn bind_uds(path: &str) -> Result<UnixListener, ClaraError> {
     // A previous daemon's socket file would make bind fail; it is dead
@@ -679,9 +689,7 @@ impl ServerHandle {
     /// acceptors. Equivalent to the wire `drain` op minus the report
     /// response.
     pub fn drain(&self) {
-        self.shared.begin_drain();
-        self.shared.await_quiesce();
-        self.shared.stopped.store(true, Ordering::SeqCst);
+        self.shared.stop();
     }
 
     /// Waits for the acceptors and workers to exit (i.e. for a drain to
@@ -714,28 +722,39 @@ impl ServerHandle {
     }
 }
 
-// ---- acceptors ---------------------------------------------------------
+// ---- acceptors and connections ------------------------------------------
 
-fn accept_loop(listener: &TcpListener, s: &Arc<Shared>) {
+/// Accepts connections on one listener until the server stops. Both
+/// listeners run this loop, so each also watches for SIGTERM: drain is
+/// idempotent, and whichever acceptor sees the signal first stops both.
+fn accept_loop<S>(transport: Transport, accept: impl Fn() -> io::Result<S>, s: &Arc<Shared>)
+where
+    S: Send + 'static,
+    for<'a> &'a S: Read + Write,
+{
+    let name = format!("clara-serve-conn-{}", transport.as_str());
     loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
+        match accept() {
+            Ok(stream) => {
                 let s = Arc::clone(s);
-                // Connection threads are deliberately detached: they park
-                // on blocking reads for as long as the client keeps the
-                // connection open, so joining them would hand shutdown
-                // latency to the slowest client.
-                spawn_conn("clara-serve-conn", move || handle_conn(stream, &s));
+                // Detached: a connection thread parks on reads while its
+                // client stays connected, so joining would hand shutdown
+                // latency to the slowest client. A refused spawn drops the
+                // closure, closing that one stream; accepting goes on.
+                let serve = move || serve_conn(&stream, transport, &s);
+                if std::thread::Builder::new()
+                    .name(name.clone())
+                    .spawn(serve)
+                    .is_err()
+                {
+                    obs::volatile_counter("serve.conn.spawn_failed").incr();
+                }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // Nothing pending (nonblocking listener) or a transient error.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
         if term::signaled() && !s.stopped.load(Ordering::SeqCst) {
-            s.begin_drain();
-            s.await_quiesce();
-            s.stopped.store(true, Ordering::SeqCst);
+            s.stop();
         }
         if s.stopped.load(Ordering::SeqCst) {
             return;
@@ -743,93 +762,54 @@ fn accept_loop(listener: &TcpListener, s: &Arc<Shared>) {
     }
 }
 
-#[cfg(unix)]
-fn uds_accept_loop(listener: &UnixListener, s: &Arc<Shared>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let s = Arc::clone(s);
-                spawn_conn("clara-serve-conn-uds", move || handle_conn_framed(stream, &s));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-        if s.stopped.load(Ordering::SeqCst) {
-            return;
-        }
-    }
-}
-
-// ---- connection threads ------------------------------------------------
-
-fn handle_conn(stream: TcpStream, s: &Arc<Shared>) {
-    // One write per response and no Nagle buffering: a request/response
-    // protocol of small frames would otherwise serialize on ~40ms
-    // delayed-ACK stalls.
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut response = handle_line(&line, s);
-        response.push('\n');
-        if writer.write_all(response.as_bytes()).is_err() {
-            return;
-        }
-        let _ = writer.flush();
-        if s.stopped.load(Ordering::SeqCst) {
-            return;
-        }
-    }
-}
-
-#[cfg(unix)]
-fn handle_conn_framed(stream: UnixStream, s: &Arc<Shared>) {
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = stream;
-    // Both buffers live for the whole connection: zero per-request
-    // allocation on the framing path (the point of the uds transport).
+/// Serves one connection until the peer closes it, a write fails, or it
+/// has answered a refused message or one read after the server stopped.
+/// `&TcpStream` and `&UnixStream` both read and write, so one loop serves
+/// either transport without cloning the socket.
+fn serve_conn<S>(stream: &S, transport: Transport, s: &Arc<Shared>)
+where
+    for<'a> &'a S: Read + Write,
+{
+    let mut reader = BufReader::new(stream);
+    let mut writer = stream;
     let mut read_buf = Vec::with_capacity(4096);
     let mut write_buf = Vec::with_capacity(4096);
     loop {
-        let line = match transport::read_frame(&mut reader, &mut read_buf) {
-            Ok(Some(line)) => line,
+        let read = transport.read(&mut reader, &mut read_buf);
+        // Sampled before answering: a drain landing after the answer must
+        // not close a connection whose next request is owed `draining`.
+        let stopped = s.stopped.load(Ordering::SeqCst);
+        let (response, last) = match read {
+            Ok(Some(msg)) if msg.trim().is_empty() => continue,
+            Ok(Some(msg)) => (handle_line(msg, s), stopped),
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                (bad_request(&e.to_string(), s), true)
+            }
             Ok(None) | Err(_) => return,
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = handle_line(&line, s);
-        if transport::write_frame(&mut writer, &mut write_buf, &response).is_err() {
-            return;
-        }
-        if s.stopped.load(Ordering::SeqCst) {
+        if transport
+            .write(&mut writer, &mut write_buf, &response)
+            .is_err()
+            || last
+        {
             return;
         }
     }
+}
+
+/// The typed answer to a message that is not a request. It has no
+/// attributable tenant, so it counts against `default` and the totals
+/// still reconcile.
+fn bad_request(detail: &str, s: &Shared) -> String {
+    s.count_error(&s.registry.default_tenant());
+    protocol::error_response(None, ErrorKind::BadRequest, detail)
 }
 
 fn handle_line(line: &str, s: &Arc<Shared>) -> String {
     let started = Instant::now();
     let env = match protocol::parse_request(line) {
         Ok(env) => env,
-        Err(detail) => {
-            // Parse failures have no attributable tenant; they count
-            // against `default` so totals still reconcile.
-            s.count_error(&s.registry.default_tenant());
-            return protocol::error_response(None, ErrorKind::BadRequest, &detail);
-        }
+        Err(detail) => return bad_request(&detail, s),
     };
     let latency = metric::op_latency(&env.req);
     let response = dispatch(env, s);

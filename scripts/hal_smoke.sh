@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # HAL smoke test (CI job `hal-matrix`): exercise the device-backend CLI
-# surface end to end — list backends, run the manifest validation and
-# backend-matrix suites, produce a cross-device analysis matrix, run a
-# cross-backend difftest, and require the typed exit code for an
-# unknown backend name.
+# surface end to end — list backends, produce a cross-device analysis
+# matrix, run a cross-backend difftest, and require the typed exit code
+# for an unknown backend name. The manifest validation and
+# backend-matrix Rust suites run in scripts/ci.sh's test lines.
 # Run from the repository root: ./scripts/hal_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,8 +12,6 @@ MODEL="${CLARA_HAL_MODEL:-hal-smoke-model.json}"
 BIN=target/release/clara
 
 cargo build --release --bin clara
-cargo test -q -p clara-hal
-cargo test -q --test backend_matrix
 
 rm -f "$MODEL"
 

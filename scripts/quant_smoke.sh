@@ -14,7 +14,6 @@ MODEL="${CLARA_QUANT_MODEL:-quant-smoke-model.json}"
 BIN=target/release/clara
 
 cargo build --release --bin clara
-cargo test -q --test quant
 
 rm -f "$MODEL" BENCH_serve_f64.json BENCH_serve_q16.json
 

@@ -13,7 +13,9 @@
 //! enqueuers always terminates with every admitted job answered;
 //! (g) the UDS frame transport serves bytes identical to TCP lines;
 //! (h) prediction-cache hits are answered on the connection thread,
-//! past a busy worker, yet admitted and attributed like queued jobs.
+//! past a busy worker, yet admitted and attributed like queued jobs;
+//! (i) a message over the size cap, not in UTF-8, or nested too deeply
+//! gets one typed `bad_request`, and the daemon keeps serving.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -1133,7 +1135,7 @@ fn drain_racing_concurrent_enqueuers_always_terminates() {
 #[cfg(unix)]
 #[test]
 fn uds_frames_serve_bytes_identical_to_tcp_lines() {
-    use clara_repro::serve::transport;
+    use clara_repro::serve::Transport;
     use std::os::unix::net::UnixStream;
 
     let _g = serve_lock();
@@ -1158,24 +1160,29 @@ fn uds_frames_serve_bytes_identical_to_tcp_lines() {
     let mut tcp = Conn::open(handle.addr());
     let tcp_resp = tcp.send(&line);
 
-    let mut uds = UnixStream::connect(&uds_path).expect("connect unix socket");
+    let uds = UnixStream::connect(&uds_path).expect("connect unix socket");
+    let mut reader = BufReader::new(&uds);
     let mut wbuf = Vec::new();
     let mut rbuf = Vec::new();
-    let mut uds_send = |stream: &mut UnixStream, line: &str| {
-        transport::write_frame(stream, &mut wbuf, line).expect("write frame");
-        transport::read_frame(stream, &mut rbuf)
+    let mut uds_send = |line: &str| {
+        Transport::Uds
+            .write(&mut &uds, &mut wbuf, line)
+            .expect("write frame");
+        Transport::Uds
+            .read(&mut reader, &mut rbuf)
             .expect("read frame")
             .expect("server answers the frame")
+            .to_string()
     };
-    let uds_resp = uds_send(&mut uds, &line);
+    let uds_resp = uds_send(&line);
     assert_eq!(
         uds_resp, tcp_resp,
         "the same request over UDS frames and TCP lines must serve identical bytes"
     );
     // Repeated frames on one connection exercise the reusable buffers.
-    let again = uds_send(&mut uds, &line);
+    let again = uds_send(&line);
     assert_eq!(again, uds_resp, "framed responses are stable across reuse");
-    let stats = uds_send(&mut uds, &protocol::render_request(None, &Request::Stats));
+    let stats = uds_send(&protocol::render_request(None, &Request::Stats));
     let v = serde_json::parse_value(&stats).expect("framed stats parses");
     assert!(
         matches!(v.get("tenants"), Some(Value::Seq(_))),
@@ -1313,4 +1320,178 @@ fn tenant_served_counters_include_inline_hits() {
     let summary = handle.join();
     assert_eq!(summary.served, t_served, "wire stats reconcile with the summary");
     assert_eq!(summary.errors, 0);
+}
+
+/// Starts a one-worker daemon listening on TCP and, on unix, on a Unix
+/// socket named after `tag`.
+fn start_both(tag: &str) -> ServerHandle {
+    let sock = std::env::temp_dir().join(format!("clara-{tag}-{}.sock", std::process::id()));
+    Server::start(
+        ServeOptions {
+            addr: "127.0.0.1:0".to_string(),
+            uds_path: cfg!(unix).then(|| sock.to_string_lossy().into_owned()),
+            workers: 1,
+            queue_cap: 4,
+            batch_max: 1,
+            deadline: None,
+            backends: Vec::new(),
+            precision: Precision::F64,
+        },
+        clara(),
+    )
+    .expect("server binds")
+}
+
+/// Writes `bytes` raw and returns everything the daemon sends back
+/// until it closes the connection. The read timeout turns a daemon that
+/// keeps reading (or keeps the connection open) into a failure, not a
+/// hang.
+fn hostile_exchange<S>(stream: S, bytes: &[u8]) -> Vec<u8>
+where
+    for<'a> &'a S: std::io::Read + Write,
+{
+    (&stream)
+        .write_all(bytes)
+        .expect("send the hostile message");
+    let mut out = Vec::new();
+    std::io::Read::read_to_end(&mut &stream, &mut out)
+        .expect("the daemon answers and then closes the connection");
+    out
+}
+
+fn hostile_tcp(addr: std::net::SocketAddr, bytes: &[u8]) -> String {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .expect("read timeout");
+    let out = hostile_exchange(stream, bytes);
+    let text = String::from_utf8(out).expect("the answer is UTF-8");
+    let line = text
+        .strip_suffix('\n')
+        .expect("one newline-terminated answer");
+    assert!(
+        !line.contains('\n'),
+        "exactly one answer before EOF: {text}"
+    );
+    line.to_string()
+}
+
+#[cfg(unix)]
+fn hostile_uds(path: &str, bytes: &[u8]) -> String {
+    let stream = std::os::unix::net::UnixStream::connect(path).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .expect("read timeout");
+    let out = hostile_exchange(stream, bytes);
+    assert!(out.len() >= 4, "a framed answer before EOF: {out:?}");
+    let len = u32::from_le_bytes([out[0], out[1], out[2], out[3]]) as usize;
+    assert_eq!(len, out.len() - 4, "exactly one frame before EOF");
+    String::from_utf8(out[4..].to_vec()).expect("the answer is UTF-8")
+}
+
+/// Asserts `resp` is a typed `bad_request` whose detail mentions `names`.
+fn assert_bad_request(resp: &str, names: &str) {
+    let v = serde_json::parse_value(resp).expect("the refusal parses");
+    assert_eq!(v.get("ok"), Some(&Value::Bool(false)), "{resp}");
+    assert_eq!(
+        v.get("error"),
+        Some(&Value::Str("bad_request".to_string())),
+        "{resp}"
+    );
+    assert!(
+        matches!(v.get("detail"), Some(Value::Str(d)) if d.contains(names)),
+        "the detail names `{names}`: {resp}"
+    );
+}
+
+/// The daemon still answers `stats` on a fresh TCP connection.
+fn assert_still_serving(handle: &ServerHandle) {
+    let stats = Conn::open(handle.addr()).send(&protocol::render_request(None, &Request::Stats));
+    assert!(
+        stats.contains("\"ok\":true"),
+        "stats after hostile input: {stats}"
+    );
+}
+
+/// (i) A TCP line that reaches `MAX_FRAME_LEN` without a newline is
+/// refused, with one typed `bad_request` naming the cap, instead of
+/// being buffered without bound.
+#[test]
+fn oversized_tcp_line_gets_one_bad_request_then_eof() {
+    use clara_repro::serve::transport::MAX_FRAME_LEN;
+
+    let _g = serve_lock();
+    let handle = start(1, 4, 1);
+    let resp = hostile_tcp(handle.addr(), &vec![b'['; MAX_FRAME_LEN + 1]);
+    assert_bad_request(&resp, &MAX_FRAME_LEN.to_string());
+    assert_still_serving(&handle);
+    handle.drain();
+    assert_eq!(handle.join().errors, 1, "the refusal counts as one error");
+}
+
+/// (i) A UDS length prefix above the cap gets the same typed refusal.
+#[cfg(unix)]
+#[test]
+fn oversized_uds_frame_gets_one_bad_request_then_eof() {
+    use clara_repro::serve::transport::MAX_FRAME_LEN;
+
+    let _g = serve_lock();
+    let handle = start_both("oversized");
+    let path = handle.uds_path().expect("uds enabled").to_string();
+    let prefix = u32::try_from(MAX_FRAME_LEN + 1)
+        .expect("fits")
+        .to_le_bytes();
+    assert_bad_request(&hostile_uds(&path, &prefix), &MAX_FRAME_LEN.to_string());
+    assert_still_serving(&handle);
+    handle.drain();
+    assert_eq!(handle.join().errors, 1, "the refusal counts as one error");
+}
+
+/// (i) Non-UTF-8 bytes get one typed refusal naming the encoding, on
+/// both transports.
+#[test]
+fn non_utf8_messages_get_one_bad_request_then_eof() {
+    let _g = serve_lock();
+    let handle = start_both("non-utf8");
+    assert_bad_request(
+        &hostile_tcp(handle.addr(), b"{\"v\":1,\xff\xfe}\n"),
+        "UTF-8",
+    );
+    let mut refusals = 1;
+    #[cfg(unix)]
+    {
+        let path = handle.uds_path().expect("uds enabled").to_string();
+        let mut frame = 3u32.to_le_bytes().to_vec();
+        frame.extend_from_slice(b"\xff\xfe{");
+        assert_bad_request(&hostile_uds(&path, &frame), "UTF-8");
+        refusals += 1;
+    }
+    assert_still_serving(&handle);
+    handle.drain();
+    assert_eq!(
+        handle.join().errors,
+        refusals,
+        "each refusal counts as one error"
+    );
+}
+
+/// (i) 1 MiB of nested `[` is a typed parse error, not a stack overflow
+/// that aborts the daemon; the same connection keeps being served.
+#[test]
+fn deeply_nested_json_is_a_typed_bad_request() {
+    let _g = serve_lock();
+    let handle = start(1, 4, 1);
+    let mut conn = Conn::open(handle.addr());
+    conn.stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .expect("read timeout");
+    let resp = conn.send(&"[".repeat(1 << 20));
+    assert_bad_request(&resp, "nest");
+    let stats = conn.send(&protocol::render_request(None, &Request::Stats));
+    assert!(
+        stats.contains("\"ok\":true"),
+        "stats after deep nesting: {stats}"
+    );
+    handle.drain();
+    assert_eq!(handle.join().errors, 1);
 }
